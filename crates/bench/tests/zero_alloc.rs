@@ -1,7 +1,9 @@
 //! Proof of the engine's zero-allocation contract: a counting global
 //! allocator observes the steady-state sample–materialise cycle and must see
 //! **zero** heap allocations per world, for both sampling methods — while
-//! the legacy driver allocates several times per world.
+//! the legacy driver allocates several times per world.  The PageRank and
+//! clustering observers keep the same contract: their kernels run in
+//! observer-owned scratch.
 //!
 //! This is the only place in the workspace that uses `unsafe` (delegating
 //! `GlobalAlloc` to the system allocator); every library crate remains
@@ -19,6 +21,7 @@ use ugs_core::prelude::*;
 use ugs_queries::batch::{EdgeFrequencyObserver, QueryBatch};
 use ugs_queries::components::DegreeHistogramObserver;
 use ugs_queries::engine::{SampleMethod, WorldEngine};
+use ugs_queries::node_queries::{ClusteringObserver, PageRankObserver};
 use ugs_queries::sharded::ShardedWorldEngine;
 use ugs_queries::MonteCarlo;
 use uncertain_graph::GraphPartition;
@@ -78,6 +81,14 @@ fn toy_graph(p: f64) -> UncertainGraph {
         }
     }
     UncertainGraph::from_edges(n, edges).unwrap()
+}
+
+fn triangle_graph(p: f64) -> UncertainGraph {
+    // A ring plus skip-one chords, so worlds hold triangles: 64 vertices,
+    // 128 edges.
+    let n = 64usize;
+    let edges = (0..n).flat_map(|u| [(u, (u + 1) % n, p), (u, (u + 2) % n, p)]);
+    UncertainGraph::from_edges(n, edges.collect::<Vec<_>>()).unwrap()
 }
 
 /// All phases run inside **one** `#[test]` (see bottom of file): the counter
@@ -168,6 +179,58 @@ fn batch_driver_steady_state_is_zero_allocation_with_two_observers() {
                 leaked, 0,
                 "{method:?} p={p} threads={threads}: expected zero allocations \
                  per world in steady state ({leaked} extra over 4000 extra worlds)"
+            );
+        }
+    }
+}
+
+/// [`batch_allocations`] with the two neighbourhood-kernel observers
+/// registered: PageRank and local clustering coefficients.
+fn kernel_batch_allocations(
+    g: &UncertainGraph,
+    method: SampleMethod,
+    threads: usize,
+    worlds: usize,
+) -> usize {
+    let mc = MonteCarlo::worlds(worlds)
+        .with_method(method)
+        .with_threads(threads);
+    let mut batch = QueryBatch::new(g, &mc);
+    let h_pr = batch.register(PageRankObserver::new(g));
+    let h_cc = batch.register(ClusteringObserver::new(g));
+    let mut rng = SmallRng::seed_from_u64(7);
+    let before = allocations();
+    let mut results = batch.run(&mut rng);
+    let after = allocations();
+    let ranks = results.take(h_pr);
+    let coefficients = results.take(h_cc);
+    assert!((ranks.iter().sum::<f64>() - 1.0).abs() < 1e-9);
+    assert!(coefficients.iter().sum::<f64>() > 0.0);
+    after - before
+}
+
+fn kernel_observers_steady_state_is_zero_allocation() {
+    // Same long-vs-short argument as the count-observer proof: the kernels'
+    // buffers are sized once per run (PageRank's for the support graph at
+    // construction, clustering's on the first world), so 4000 extra worlds
+    // must cost no allocation at all.
+    for (method, p) in [
+        (SampleMethod::Skip, 0.1),
+        (SampleMethod::Skip, 0.5),
+        (SampleMethod::PerEdge, 0.9),
+    ] {
+        let g = triangle_graph(p);
+        for threads in [1, 2] {
+            let leaked = settles_to_zero(|| {
+                let short = kernel_batch_allocations(&g, method, threads, 50);
+                let long = kernel_batch_allocations(&g, method, threads, 4_050);
+                long.saturating_sub(short)
+            });
+            assert_eq!(
+                leaked, 0,
+                "{method:?} p={p} threads={threads}: expected zero allocations \
+                 per world with the PageRank and clustering observers \
+                 ({leaked} extra over 4000 extra worlds)"
             );
         }
     }
@@ -395,11 +458,12 @@ fn legacy_driver_allocates_every_world() {
 
 #[test]
 fn zero_allocation_contract() {
-    // One test, seven phases, so nothing else allocates during the exact
+    // One test, eight phases, so nothing else allocates during the exact
     // counting windows (libtest runs `#[test]` functions concurrently and
     // the counter is process-global).
     engine_steady_state_performs_zero_allocations_per_world();
     batch_driver_steady_state_is_zero_allocation_with_two_observers();
+    kernel_observers_steady_state_is_zero_allocation();
     sharded_single_shard_steady_state_is_zero_allocation();
     sharded_batch_steady_state_is_zero_allocation();
     gdb_steady_state_sweeps_are_zero_allocation();

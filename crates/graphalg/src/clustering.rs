@@ -8,43 +8,107 @@
 
 use crate::dgraph::DeterministicGraph;
 
+/// Reusable buffers of [`local_clustering_into`]: the coefficients, a
+/// per-vertex stamp array and one vertex's distinct-neighbour list.  Once
+/// warm on a vertex count, further runs on graphs no larger allocate
+/// nothing, and clones keep the sizes.
+#[derive(Debug, Clone, Default)]
+pub struct ClusteringScratch {
+    coefficients: Vec<f64>,
+    /// Per-vertex stamps; a stamp is never reused, so stale marks from
+    /// earlier vertices (or earlier runs) never match.
+    stamps: Vec<u64>,
+    /// The last stamp handed out.
+    epoch: u64,
+    /// The current vertex's distinct neighbours in `distinct[..deg]`.
+    distinct: Vec<u32>,
+}
+
+impl ClusteringScratch {
+    /// Empty scratch; buffers grow on the first run.
+    pub fn new() -> Self {
+        Self::default()
+    }
+}
+
 /// Local clustering coefficient of every vertex.
 ///
-/// `cc(u) = 2·T(u) / (deg(u)·(deg(u)-1))` where `T(u)` is the number of edges
-/// between neighbours of `u`; vertices with degree < 2 get 0 by convention.
+/// `cc(u) = 2·T(u) / (deg(u)·(deg(u)-1))` where `deg(u)` counts the
+/// *distinct* neighbours of `u` and `T(u)` the edges among them; vertices
+/// with degree < 2 get 0 by convention.  Duplicate edges count once, and a
+/// self-loop makes `u` a neighbour of itself.
 ///
-/// The implementation sorts adjacency lists once and counts triangles via
-/// merge-style intersection, `O(Σ_u deg(u)·d_max)` worst case but cache
-/// friendly and allocation free per vertex pair.
+/// An allocating wrapper around [`local_clustering_into`], which holds its
+/// buffers in a caller-owned [`ClusteringScratch`] instead; both return
+/// the same bits.
 pub fn local_clustering_coefficients(g: &DeterministicGraph) -> Vec<f64> {
+    let mut scratch = ClusteringScratch::new();
+    local_clustering_into(g, &mut scratch);
+    scratch.coefficients
+}
+
+/// [`local_clustering_coefficients`] into reusable buffers; the returned
+/// slice holds the coefficients.
+///
+/// Per vertex `u`, the kernel stamps `u`'s distinct neighbours, then for
+/// each of them, `v`, counts the stamped `w > v` in `N(v)`.  A counted `w`
+/// is re-stamped for `v`, so a duplicate edge `v–w` counts once.  This is
+/// the same integer triangle count as intersecting sorted, deduplicated
+/// adjacency lists, so every coefficient has the same bits; the crate's
+/// tests check that against the sorted-intersection kernel.
+pub fn local_clustering_into<'s>(
+    g: &DeterministicGraph,
+    scratch: &'s mut ClusteringScratch,
+) -> &'s [f64] {
     let n = g.num_vertices();
-    // Sorted copies of the adjacency lists for O(d1 + d2) intersections.
-    let sorted: Vec<Vec<u32>> = (0..n)
-        .map(|u| {
-            let mut ns: Vec<u32> = g.neighbor_slice(u).to_vec();
-            ns.sort_unstable();
-            ns.dedup();
-            ns
-        })
-        .collect();
-    let mut cc = vec![0.0; n];
-    for u in 0..n {
-        let neighbors = &sorted[u];
-        let deg = neighbors.len();
+    let ClusteringScratch {
+        coefficients,
+        stamps,
+        epoch,
+        distinct,
+    } = scratch;
+    coefficients.clear();
+    coefficients.resize(n, 0.0);
+    // No vertex has more than n distinct neighbours.
+    if stamps.len() < n {
+        stamps.resize(n, 0);
+        distinct.resize(n, 0);
+    }
+    for (u, cc) in coefficients.iter_mut().enumerate() {
+        let neighbors = g.neighbor_slice(u);
+        if neighbors.len() < 2 {
+            continue;
+        }
+        // Stamp `member` marks N(u); `member + i` marks the w already
+        // counted for the i-th distinct neighbour.
+        let member = *epoch + 1;
+        let mut deg = 0;
+        for &v in neighbors {
+            let stamp = &mut stamps[v as usize];
+            if *stamp != member {
+                *stamp = member;
+                distinct[deg] = v;
+                deg += 1;
+            }
+        }
+        *epoch = member + deg as u64;
         if deg < 2 {
             continue;
         }
         let mut triangles = 0usize;
-        for (i, &v) in neighbors.iter().enumerate() {
-            let nv = &sorted[v as usize];
-            // Count common neighbours of u and v that come after v in u's
-            // list (each triangle counted once per (v, w) pair with v < w).
-            let rest = &neighbors[i + 1..];
-            triangles += sorted_intersection_size(rest, nv);
+        for (i, &v) in (1u64..).zip(&distinct[..deg]) {
+            for &w in g.neighbor_slice(v as usize) {
+                let stamp = &mut stamps[w as usize];
+                // In N(u) and not yet counted for v: member ≤ stamp < member + i.
+                if w > v && stamp.wrapping_sub(member) < i {
+                    *stamp = member + i;
+                    triangles += 1;
+                }
+            }
         }
-        cc[u] = 2.0 * triangles as f64 / (deg * (deg - 1)) as f64;
+        *cc = 2.0 * triangles as f64 / (deg * (deg - 1)) as f64;
     }
-    cc
+    coefficients
 }
 
 /// Average of the local clustering coefficients over all vertices (the
@@ -55,22 +119,6 @@ pub fn average_clustering_coefficient(g: &DeterministicGraph) -> f64 {
         return 0.0;
     }
     local_clustering_coefficients(g).iter().sum::<f64>() / n as f64
-}
-
-fn sorted_intersection_size(a: &[u32], b: &[u32]) -> usize {
-    let (mut i, mut j, mut count) = (0usize, 0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                count += 1;
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    count
 }
 
 #[cfg(test)]

@@ -220,6 +220,13 @@ impl DeterministicGraph {
     pub fn neighbor_slice(&self, u: usize) -> &[u32] {
         &self.neighbors[self.offsets[u]..self.offsets[u + 1]]
     }
+
+    /// Every adjacency list, concatenated in ascending vertex order (every
+    /// constructor keeps `neighbors` exactly this long).
+    #[inline]
+    pub(crate) fn adjacency(&self) -> &[u32] {
+        &self.neighbors
+    }
 }
 
 #[cfg(test)]

@@ -28,6 +28,8 @@ pub mod clustering;
 pub mod dgraph;
 pub mod dsu;
 pub mod heap;
+#[cfg(test)]
+mod oracle;
 pub mod pagerank;
 pub mod shortest_path;
 pub mod spanning;

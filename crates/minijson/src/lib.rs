@@ -46,12 +46,19 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest array/object nesting [`Value::parse`] accepts.  The parser
+/// recurses once per level, so without a cap a line of a few hundred
+/// thousand `[` bytes overflows the stack; past the cap the document is
+/// rejected with a [`JsonError`] instead.
+pub const MAX_DEPTH: usize = 128;
+
 impl Value {
-    /// Parses a JSON document.
+    /// Parses a JSON document (nesting at most [`MAX_DEPTH`] deep).
     pub fn parse(input: &str) -> Result<Value, JsonError> {
         let mut parser = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         parser.skip_ws();
         let value = parser.parse_value()?;
@@ -282,6 +289,8 @@ fn write_seq(
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -313,8 +322,19 @@ impl Parser<'_> {
 
     fn parse_value(&mut self) -> Result<Value, JsonError> {
         match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.error(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let value = if open == b'{' {
+                    self.parse_object()
+                } else {
+                    self.parse_array()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'"') => Ok(Value::Str(self.parse_string()?)),
             Some(b't') => self.parse_literal("true", Value::Bool(true)),
             Some(b'f') => self.parse_literal("false", Value::Bool(false)),
@@ -525,6 +545,20 @@ mod tests {
         ] {
             assert!(Value::parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_with_an_error_not_a_stack_overflow() {
+        let arrays = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        let objects = |depth: usize| format!("{}1{}", "{\"a\": ".repeat(depth), "}".repeat(depth));
+        assert!(Value::parse(&arrays(MAX_DEPTH)).is_ok());
+        assert!(Value::parse(&objects(MAX_DEPTH)).is_ok());
+        assert!(Value::parse(&arrays(MAX_DEPTH + 1)).is_err());
+        assert!(Value::parse(&objects(MAX_DEPTH + 1)).is_err());
+        // A bomb far past any stack: refused at the first level too deep.
+        let error = Value::parse(&"[".repeat(200_000)).unwrap_err();
+        assert_eq!(error.offset, MAX_DEPTH, "{error}");
+        assert!(error.message.contains("nesting"), "{error}");
     }
 
     #[test]

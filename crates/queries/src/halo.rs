@@ -19,25 +19,29 @@
 //! (`graph_algos::pagerank::pagerank`) — it reproduces it **bit for bit**,
 //! iteration for iteration.  The argument, term by term:
 //!
-//! * **Per-target fold order.**  The monolithic kernel walks sources `u`
-//!   in ascending order and adds `damping · rank[u] / deg(u)` into each
-//!   neighbour.  For a fixed target `v`, the additions into `next[v]`
-//!   therefore arrive in ascending source order (ties in ascending edge
-//!   order).  A shard's push list ([`uncertain_graph::PushEdge`]) is sorted
-//!   by `(global source, edge)` and covers exactly the edges with an owned
+//! * **Per-target fold order.**  The monolithic kernel
+//!   ([`graph_algos::pagerank::pagerank_into`]) tags every adjacency slot
+//!   with its source once per world — the non-dangling vertices in
+//!   ascending order — and pushes `damping · rank[u] / deg(u)` along the
+//!   slots in that order.  A dangling source has no slots, so skipping it
+//!   drops no addend: for a fixed target `v`, the additions into `next[v]`
+//!   arrive in ascending source order (ties in ascending edge order).  A
+//!   shard's push list ([`uncertain_graph::PushEdge`]) is sorted by
+//!   `(global source, edge)` and covers exactly the edges with an owned
 //!   target, so each owned `next[v]` folds the identical addends in the
 //!   identical order — and floating-point addition, while not associative,
-//!   is deterministic for a fixed sequence.  The share is recomputed per
-//!   edge as the same expression `damping * rank_u / deg` the monolithic
-//!   kernel hoists per source, which yields the same bits each time.
+//!   is deterministic for a fixed sequence.  Both compute each addend per
+//!   edge as the same expression `damping * rank_u / deg`, which yields
+//!   the same bits each time.
 //! * **Dangling mass.**  Every dangling (world-degree-0) vertex holds the
 //!   same rank bits in every iteration: initially all ranks are `1/n`, and
 //!   a dangling vertex receives no pushes, so its next rank is exactly the
-//!   common `base`.  The monolithic dangling sum — a left fold of `k` equal
-//!   values over ascending vertex ids — is therefore [`dangling_mass`]`(r_d,
-//!   k)`: `k` repeated additions of the shared dangling rank `r_d`, which
-//!   any shard can replay locally from the global dangling count, no
-//!   exchange needed.  The driver tracks `r_d` as `1/n` initially and the
+//!   common `base`.  The left fold of the `k` dangling ranks over ascending
+//!   vertex ids is therefore [`dangling_mass`]`(r_d, k)`: `k` repeated
+//!   additions of the shared dangling rank `r_d`.  The monolithic kernel
+//!   computes its mass with that very function, and every shard replays it
+//!   locally from the global dangling count, no exchange needed — one
+//!   definition, shared.  Both track `r_d` as `1/n` initially and the
 //!   previous iteration's `base` thereafter.
 //! * **Convergence delta.**  The monolithic `delta` is a left fold of
 //!   `|rank[v] − next[v]|` over `v = 0..n` ascending.  In process, each
@@ -97,8 +101,8 @@
 //! }
 //! ```
 
-use graph_algos::clustering::local_clustering_coefficients;
-use graph_algos::pagerank::PageRankConfig;
+use graph_algos::clustering::{local_clustering_into, ClusteringScratch};
+use graph_algos::pagerank::{dangling_mass, PageRankConfig};
 use graph_algos::DeterministicGraph;
 use uncertain_graph::{HaloPlan, ShardHalo, UncertainGraph, VertexId};
 
@@ -178,19 +182,6 @@ impl WorldPresence {
     pub fn dangling(&self) -> usize {
         self.num_vertices - self.touched_vertices.len()
     }
-}
-
-/// The monolithic kernel's dangling-mass sum, replayed locally: `count`
-/// repeated additions of the shared dangling rank `rank_d` onto `0.0` —
-/// bitwise the same left fold the monolithic kernel performs over ascending
-/// vertex ids, because all dangling ranks carry identical bits (see the
-/// [module docs](self)).
-pub fn dangling_mass(rank_d: f64, count: usize) -> f64 {
-    let mut acc = 0.0;
-    for _ in 0..count {
-        acc += rank_d;
-    }
-    acc
 }
 
 /// Per-shard PageRank superstep state: a halo-local rank vector (owned
@@ -372,32 +363,61 @@ impl HaloPageRank {
     }
 }
 
-/// One-shot halo materialisation for clustering coefficients: per shard,
-/// filter the halo edge set by world presence, materialise the halo world,
-/// run the monolithic clustering kernel, and keep the owned coefficients.
+/// One shard's clustering step: filter the halo edge set by world
+/// presence, materialise the halo world, and run the clustering kernel on
+/// it.  Keeps its buffers across worlds.
 #[derive(Debug, Clone)]
-pub struct HaloClustering {
-    presence: Option<WorldPresence>,
+pub struct ShardClustering {
     endpoints: Vec<(u32, u32)>,
     world: DeterministicGraph,
-    coefficients: Vec<f64>,
+    kernel: ClusteringScratch,
 }
 
-impl Default for HaloClustering {
+impl Default for ShardClustering {
     fn default() -> Self {
         Self::new()
     }
 }
 
+impl ShardClustering {
+    /// An empty state; buffers are sized lazily on the first world.
+    pub fn new() -> Self {
+        ShardClustering {
+            endpoints: Vec::new(),
+            world: DeterministicGraph::from_edges(0, &[]),
+            kernel: ClusteringScratch::new(),
+        }
+    }
+
+    /// The coefficients of the shard's owned vertices (halo-local ids
+    /// `0..owned`) in the stamped world, exactly as the monolithic kernel
+    /// computes them.
+    pub fn run(&mut self, halo: &ShardHalo, presence: &WorldPresence) -> &[f64] {
+        self.endpoints.clear();
+        for &(a, b, e) in halo.halo_edges() {
+            if presence.edge_present(e) {
+                self.endpoints.push((a, b));
+            }
+        }
+        self.world
+            .materialize_from_endpoints(halo.halo_len(), &self.endpoints);
+        &local_clustering_into(&self.world, &mut self.kernel)[..halo.owned()]
+    }
+}
+
+/// One-shot halo materialisation for clustering coefficients: per shard,
+/// run a [`ShardClustering`] step and scatter the owned coefficients.
+#[derive(Debug, Clone, Default)]
+pub struct HaloClustering {
+    presence: Option<WorldPresence>,
+    shard: ShardClustering,
+    coefficients: Vec<f64>,
+}
+
 impl HaloClustering {
     /// An empty driver; buffers are sized lazily on the first world.
     pub fn new() -> Self {
-        HaloClustering {
-            presence: None,
-            endpoints: Vec::new(),
-            world: DeterministicGraph::from_edges(0, &[]),
-            coefficients: Vec::new(),
-        }
+        Self::default()
     }
 
     /// Computes the per-vertex clustering coefficients of the current
@@ -414,18 +434,9 @@ impl HaloClustering {
         presence.stamp(view.graph(), view.all_present());
         self.coefficients.resize(view.num_vertices(), 0.0);
         for s in 0..plan.num_shards() {
-            let halo = plan.shard(s);
-            self.endpoints.clear();
-            for &(a, b, e) in halo.halo_edges() {
-                if presence.edge_present(e) {
-                    self.endpoints.push((a, b));
-                }
-            }
-            self.world
-                .materialize_from_endpoints(halo.halo_len(), &self.endpoints);
-            let cc = local_clustering_coefficients(&self.world);
-            for (local, &global) in partition.shard(s).vertices().iter().enumerate() {
-                self.coefficients[global] = cc[local];
+            let cc = self.shard.run(plan.shard(s), presence);
+            for (&c, &global) in cc.iter().zip(partition.shard(s).vertices()) {
+                self.coefficients[global] = c;
             }
         }
         &self.coefficients
@@ -572,6 +583,7 @@ mod tests {
     use crate::engine::{SampleMethod, WorldEngine};
     use crate::sharded::ShardedWorldEngine;
     use crate::source::{WorldSource, WorldView};
+    use graph_algos::clustering::local_clustering_coefficients;
     use graph_algos::pagerank::pagerank;
     use graph_algos::traversal::bfs_distances;
     use rand::rngs::SmallRng;
@@ -611,14 +623,6 @@ mod tests {
         assert!(!presence.edge_present(0));
         assert_eq!(presence.degree(0), 0);
         assert_eq!(presence.dangling(), 9);
-    }
-
-    #[test]
-    fn dangling_mass_matches_the_monolithic_fold() {
-        let r = 0.123456789;
-        let monolithic: f64 = std::iter::repeat_n(r, 7).sum();
-        assert_eq!(dangling_mass(r, 7).to_bits(), monolithic.to_bits());
-        assert_eq!(dangling_mass(r, 0), 0.0);
     }
 
     #[test]

@@ -118,7 +118,9 @@ pub use components::{
 };
 pub use cv::{ControlVariate, CvConfig, CvError, CvEstimate};
 pub use engine::{SampleMethod, WorldEngine, WorldScratch};
-pub use halo::{HaloClustering, HaloPageRank, ShardBfs, ShardPageRank, WorldPresence};
+pub use halo::{
+    HaloClustering, HaloPageRank, ShardBfs, ShardClustering, ShardPageRank, WorldPresence,
+};
 pub use knn::{k_nearest_neighbors, knn_overlap, KnnObserver, Neighbor};
 pub use mc::MonteCarlo;
 pub use node_queries::{
@@ -148,7 +150,9 @@ pub mod prelude {
     };
     pub use crate::cv::{ControlVariate, CvConfig, CvError, CvEstimate};
     pub use crate::engine::{SampleMethod, WorldEngine, WorldScratch};
-    pub use crate::halo::{HaloClustering, HaloPageRank, ShardBfs, ShardPageRank, WorldPresence};
+    pub use crate::halo::{
+        HaloClustering, HaloPageRank, ShardBfs, ShardClustering, ShardPageRank, WorldPresence,
+    };
     pub use crate::knn::{k_nearest_neighbors, knn_overlap, KnnObserver, Neighbor};
     pub use crate::mc::MonteCarlo;
     pub use crate::node_queries::{

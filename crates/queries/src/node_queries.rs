@@ -18,8 +18,15 @@ use crate::halo::{HaloClustering, HaloPageRank};
 use crate::mc::MonteCarlo;
 use crate::sharded::ShardedWorld;
 use crate::source::ShardSupport;
-use graph_algos::clustering::local_clustering_coefficients;
-use graph_algos::pagerank::{pagerank, PageRankConfig};
+use graph_algos::clustering::{local_clustering_into, ClusteringScratch};
+use graph_algos::pagerank::{pagerank_into, PageRankConfig, PageRankScratch};
+
+/// Adds one world's per-vertex values into the running totals.
+fn accumulate(totals: &mut [f64], values: &[f64]) {
+    for (t, v) in totals.iter_mut().zip(values) {
+        *t += v;
+    }
+}
 
 /// Observer accumulating deterministic PageRank over sampled worlds;
 /// finalises to the per-vertex expected PageRank.
@@ -31,8 +38,10 @@ use graph_algos::pagerank::{pagerank, PageRankConfig};
 pub struct PageRankObserver {
     config: PageRankConfig,
     totals: Vec<f64>,
-    /// Superstep scratch for sharded views (lazily sized; not part of the
-    /// accumulated state).
+    /// Kernel buffers for monolithic worlds, sized for the support graph
+    /// so that no world allocates, and superstep scratch for sharded views
+    /// (lazily sized); neither is part of the accumulated state.
+    kernel: PageRankScratch,
     halo: HaloPageRank,
 }
 
@@ -47,6 +56,7 @@ impl PageRankObserver {
         PageRankObserver {
             config,
             totals: vec![0.0; g.num_vertices()],
+            kernel: PageRankScratch::with_capacity(g.num_vertices(), g.num_edges()),
             halo: HaloPageRank::new(),
         }
     }
@@ -54,9 +64,7 @@ impl PageRankObserver {
     /// Accumulates one world's per-vertex ranks (the seam shared by the
     /// in-process paths and the distributed coordinator).
     pub fn record_scores(&mut self, scores: &[f64]) {
-        for (t, p) in self.totals.iter_mut().zip(scores.iter()) {
-            *t += p;
-        }
+        accumulate(&mut self.totals, scores);
     }
 
     /// The PageRank configuration this observer runs.
@@ -69,8 +77,8 @@ impl WorldObserver for PageRankObserver {
     type Output = Vec<f64>;
 
     fn observe(&mut self, world: &WorldScratch) {
-        let pr = pagerank(world.world(), &self.config);
-        self.record_scores(&pr);
+        let pr = pagerank_into(world.world(), &self.config, &mut self.kernel);
+        accumulate(&mut self.totals, pr);
     }
 
     fn shard_support(&self) -> ShardSupport {
@@ -78,24 +86,18 @@ impl WorldObserver for PageRankObserver {
     }
 
     fn observe_sharded(&mut self, world: &ShardedWorld<'_>) {
-        if world.num_shards() == 1 {
-            // Trivial partitions skip the full-graph scatter (no
-            // `all_present` list); shard 0 *is* the monolithic world.
-            let pr = pagerank(world.shard_world(0), &self.config);
-            self.record_scores(&pr);
+        // Trivial partitions skip the full-graph scatter (no `all_present`
+        // list); shard 0 *is* the monolithic world.
+        let pr = if world.num_shards() == 1 {
+            pagerank_into(world.shard_world(0), &self.config, &mut self.kernel)
         } else {
-            let config = self.config;
-            let pr = self.halo.run(world, &config);
-            for (t, p) in self.totals.iter_mut().zip(pr.iter()) {
-                *t += p;
-            }
-        }
+            self.halo.run(world, &self.config)
+        };
+        accumulate(&mut self.totals, pr);
     }
 
     fn merge(&mut self, other: Self) {
-        for (t, o) in self.totals.iter_mut().zip(other.totals) {
-            *t += o;
-        }
+        accumulate(&mut self.totals, &other.totals);
     }
 
     fn finalize(self, num_worlds: usize) -> Vec<f64> {
@@ -118,8 +120,10 @@ impl WorldObserver for PageRankObserver {
 #[derive(Debug, Clone)]
 pub struct ClusteringObserver {
     totals: Vec<f64>,
-    /// Halo materialisation scratch for sharded views (lazily sized; not
-    /// part of the accumulated state).
+    /// Kernel buffers for monolithic worlds and halo materialisation
+    /// scratch for sharded views (lazily sized; not part of the
+    /// accumulated state).
+    kernel: ClusteringScratch,
     halo: HaloClustering,
 }
 
@@ -128,6 +132,7 @@ impl ClusteringObserver {
     pub fn new(g: &UncertainGraph) -> Self {
         ClusteringObserver {
             totals: vec![0.0; g.num_vertices()],
+            kernel: ClusteringScratch::new(),
             halo: HaloClustering::new(),
         }
     }
@@ -135,9 +140,7 @@ impl ClusteringObserver {
     /// Accumulates one world's per-vertex coefficients (the seam shared by
     /// the in-process paths and the distributed coordinator).
     pub fn record_coefficients(&mut self, coefficients: &[f64]) {
-        for (t, c) in self.totals.iter_mut().zip(coefficients.iter()) {
-            *t += c;
-        }
+        accumulate(&mut self.totals, coefficients);
     }
 }
 
@@ -145,8 +148,8 @@ impl WorldObserver for ClusteringObserver {
     type Output = Vec<f64>;
 
     fn observe(&mut self, world: &WorldScratch) {
-        let cc = local_clustering_coefficients(world.world());
-        self.record_coefficients(&cc);
+        let cc = local_clustering_into(world.world(), &mut self.kernel);
+        accumulate(&mut self.totals, cc);
     }
 
     fn shard_support(&self) -> ShardSupport {
@@ -154,22 +157,17 @@ impl WorldObserver for ClusteringObserver {
     }
 
     fn observe_sharded(&mut self, world: &ShardedWorld<'_>) {
-        if world.num_shards() == 1 {
-            // See `PageRankObserver::observe_sharded`.
-            let cc = local_clustering_coefficients(world.shard_world(0));
-            self.record_coefficients(&cc);
+        // See `PageRankObserver::observe_sharded`.
+        let cc = if world.num_shards() == 1 {
+            local_clustering_into(world.shard_world(0), &mut self.kernel)
         } else {
-            let cc = self.halo.run(world);
-            for (t, c) in self.totals.iter_mut().zip(cc.iter()) {
-                *t += c;
-            }
-        }
+            self.halo.run(world)
+        };
+        accumulate(&mut self.totals, cc);
     }
 
     fn merge(&mut self, other: Self) {
-        for (t, o) in self.totals.iter_mut().zip(other.totals) {
-            *t += o;
-        }
+        accumulate(&mut self.totals, &other.totals);
     }
 
     fn finalize(self, num_worlds: usize) -> Vec<f64> {
@@ -228,6 +226,8 @@ pub fn expected_clustering_coefficients<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use graph_algos::clustering::local_clustering_coefficients;
+    use graph_algos::pagerank::pagerank;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 

@@ -21,13 +21,12 @@ use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use graph_algos::clustering::local_clustering_coefficients;
-use graph_algos::DeterministicGraph;
+use graph_algos::pagerank::dangling_mass;
 use minijson::Value;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use ugs_queries::halo::{
-    dangling_mass, decode_level, decode_rank, encode_level, encode_rank, f64_to_hex, ShardBfs,
+    decode_level, decode_rank, encode_level, encode_rank, f64_to_hex, ShardBfs, ShardClustering,
     ShardPageRank, WorldPresence,
 };
 use ugs_queries::sharded::{ShardScratch, ShardedWorldEngine};
@@ -61,6 +60,7 @@ enum Kernel {
         step: usize,
     },
     Clustering {
+        state: ShardClustering,
         /// Owned coefficients of the current world, computed lazily on the
         /// first `collect`.
         coefficients: Option<Vec<f64>>,
@@ -102,7 +102,10 @@ impl<'g> HaloSession<'g> {
                 rank_d: 0.0,
                 step: 0,
             },
-            HaloKernel::Clustering => Kernel::Clustering { coefficients: None },
+            HaloKernel::Clustering => Kernel::Clustering {
+                state: ShardClustering::new(),
+                coefficients: None,
+            },
             // The source vertex lives in the identity (`kernel_id`); the
             // coordinator routes the seed settlement through step 0.
             HaloKernel::Bfs { .. } => Kernel::Bfs {
@@ -135,7 +138,7 @@ impl<'g> HaloSession<'g> {
     fn kernel_started(&self) -> bool {
         match &self.kernel {
             Kernel::PageRank { step, .. } | Kernel::Bfs { step, .. } => *step > 0,
-            Kernel::Clustering { coefficients } => coefficients.is_some(),
+            Kernel::Clustering { coefficients, .. } => coefficients.is_some(),
         }
     }
 
@@ -155,7 +158,7 @@ impl<'g> HaloSession<'g> {
                 *rank_d = uniform;
                 *step = 0;
             }
-            Kernel::Clustering { coefficients } => *coefficients = None,
+            Kernel::Clustering { coefficients, .. } => *coefficients = None,
             Kernel::Bfs { state, step, .. } => {
                 state.reset(halo);
                 *step = 0;
@@ -390,23 +393,12 @@ impl<'g> HaloSession<'g> {
             Kernel::PageRank { state, .. } => {
                 state.owned_ranks().iter().map(|&r| f64_to_hex(r)).collect()
             }
-            Kernel::Clustering { coefficients } => {
-                let cc = coefficients.get_or_insert_with(|| {
-                    // One-shot halo materialisation: filter the halo edge
-                    // set by world presence, run the monolithic kernel on
-                    // the halo world, keep the owned coefficients.
-                    let endpoints: Vec<(u32, u32)> = halo
-                        .halo_edges()
-                        .iter()
-                        .filter(|&&(_, _, e)| presence.edge_present(e))
-                        .map(|&(a, b, _)| (a, b))
-                        .collect();
-                    let mut world = DeterministicGraph::from_edges(0, &[]);
-                    world.materialize_from_endpoints(halo.halo_len(), &endpoints);
-                    let mut cc = local_clustering_coefficients(&world);
-                    cc.truncate(halo.owned());
-                    cc
-                });
+            Kernel::Clustering {
+                state,
+                coefficients,
+            } => {
+                // One-shot halo materialisation on the first collect.
+                let cc = coefficients.get_or_insert_with(|| state.run(halo, presence).to_vec());
                 cc.iter().map(|&c| f64_to_hex(c)).collect()
             }
             Kernel::Bfs { .. } => {

@@ -19,8 +19,9 @@ pub const MAX_LINE_BYTES: usize = 1 << 20;
 /// Machine-readable error class of a `{"status": "error"}` response.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ErrorCode {
-    /// The line was not valid JSON, not an object, missing a required
-    /// field, carried an unknown field, or exceeded [`MAX_LINE_BYTES`].
+    /// The line was not valid JSON (nesting past [`minijson::MAX_DEPTH`]
+    /// included), not an object, missing a required field, carried an
+    /// unknown field, or exceeded [`MAX_LINE_BYTES`].
     BadRequest,
     /// The `op` field named no known operation.
     UnknownOp,

@@ -463,6 +463,36 @@ fn oversized_request_lines_get_typed_errors_and_the_connection_survives() {
 }
 
 #[test]
+fn a_json_nesting_bomb_gets_a_typed_error_and_the_server_survives() {
+    let server = start(ServerConfig::default());
+    let mut c = client(&server);
+
+    // 200 000 `[` bytes: under the line cap, so the parser sees them all.
+    // Unbounded recursion would overflow the connection thread's stack
+    // and abort the whole process; the depth cap answers bad_request.
+    let bomb = "[".repeat(200_000);
+    let refused = c.request(&bomb).unwrap();
+    assert_eq!(refused.get_str("status"), Some("error"));
+    assert_eq!(refused.get_str("code"), Some("bad_request"));
+    assert!(
+        refused.get_str("message").unwrap().contains("nesting"),
+        "the error names the cause: {}",
+        refused.render()
+    );
+
+    // The same connection, and a fresh one, still serve real work.
+    let pong = c.request(r#"{"op": "ping"}"#).unwrap();
+    assert_eq!(pong.get("pong").and_then(Value::as_bool), Some(true));
+    let mut fresh = client(&server);
+    let (job, _) = submit_job(
+        &mut fresh,
+        r#"{"worlds": 30, "seed": 4, "queries": [{"type": "connectivity"}]}"#,
+    );
+    fresh.wait_for_report(job).unwrap();
+    server.shutdown();
+}
+
+#[test]
 fn a_seeded_fault_plan_misbehaves_deterministically_over_the_wire() {
     // One Disconnect at op 2, then a wedge-free schedule: ops 0 and 1
     // answer, op 2 closes the connection, everything after serves again.
