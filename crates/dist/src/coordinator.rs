@@ -14,16 +14,14 @@ use rand::{Rng, SeedableRng};
 use ugs_queries::batch::WorldObserver;
 use ugs_queries::boundary::{glue_records, GluedWorld, ShardWorldRecord};
 use ugs_queries::halo::{
-    decode_level, decode_rank, encode_level, encode_rank, f64_from_hex, f64_to_hex,
+    decode_level, decode_rank, encode_level, encode_rank, f64_from_hex, f64_to_hex, fed_ghosts,
 };
 use ugs_queries::variance::{Precision, StoppingRule};
 use ugs_queries::{ClusteringObserver, KnnObserver, PageRankObserver};
-use ugs_server::protocol::DEFAULT_BOUNDARY_PAGE;
+use ugs_server::protocol::{DEFAULT_BOUNDARY_PAGE, HALO_PAGE};
 use ugs_server::LineClient;
-use ugs_service::{
-    mode_name, QueryAnswer, QueryPlan, QueryResult, QuerySpec, ResultTicket, ServiceError,
-};
-use uncertain_graph::{GraphPartition, HaloPlan, UncertainGraph};
+use ugs_service::{mode_name, QueryAnswer, QueryPlan, QueryResult, QuerySpec, ServiceError};
+use uncertain_graph::{GraphPartition, HaloPlan, UncertainGraph, VertexId};
 
 use crate::fault::{FaultClock, FaultKind, FaultPlan};
 use crate::merge::{block_owner, ConnAccumulator, FreqAccumulator, HistAccumulator};
@@ -33,10 +31,13 @@ use crate::recovery::{Failover, RecoveryReport, StandbyPool};
 /// aggregates, as returned by `shard_result`.
 type ShardAggregates = (Vec<u64>, Vec<u64>);
 
-/// Ghost-rank entries per `feed` line.  Each entry is at most ~31 bytes
-/// on the wire, so a chunk stays around 250 KiB — comfortably inside the
-/// worker's default 1 MiB request-line bound even for hub shards whose
-/// halo spans most of the graph.
+/// Ghost-rank entries per `feed` line.  A feed carries only the ids the
+/// other shards reported in the previous step that are ghosts of the fed
+/// shard — usually a fraction of its static ghosts — but a dense world can
+/// still activate most of a hub shard's halo, so feeds stay chunked.  Each
+/// entry is at most ~31 bytes on the wire, so a chunk stays around
+/// 250 KiB, comfortably inside the worker's default 1 MiB request-line
+/// bound.
 const FEED_CHUNK_ENTRIES: usize = 8_192;
 
 /// Failure-model knobs of a [`DistCoordinator`].
@@ -544,21 +545,6 @@ impl DistCoordinator {
             .collect()
     }
 
-    /// Like [`DistCoordinator::execute`], but hands back one
-    /// [`ResultTicket`] per query through the external-executor seam
-    /// ([`ResultTicket::pending`]) — the surface a service embeds when it
-    /// offloads plans to a fleet.
-    pub fn execute_ticketed(&mut self, plan: &QueryPlan) -> Vec<ResultTicket> {
-        self.execute(plan)
-            .into_iter()
-            .map(|outcome| {
-                let (reply, ticket) = ResultTicket::pending();
-                let _ = reply.send(outcome);
-                ticket
-            })
-            .collect()
-    }
-
     /// Executes the plan and renders the same report envelope
     /// [`QueryPlan::run_report`] prints for an in-process run, with the
     /// graph labelled by fingerprint (byte-identical answers yield
@@ -823,8 +809,13 @@ impl DistCoordinator {
     /// chained step through the shards ascending (threading the L1
     /// convergence accumulator), install the reported boundary ranks on the
     /// coordinator's board, and stop when the accumulated delta drops under
-    /// the configured tolerance.  `Ok(None)` means a worker failed and the
-    /// world must restart from step 0.
+    /// the configured tolerance.  Each step reports only the shard's
+    /// *active* boundary (owned vertices with a present edge to a ghost),
+    /// and shard `k` is fed only the reported ids that are its ghosts
+    /// ([`fed_ghosts`]); ghosts that are not fed are never read in this
+    /// world, so the exchange stays exact (see [`ugs_queries::halo`]).
+    /// `Ok(None)` means a worker failed and the world must restart from
+    /// step 0.
     fn halo_pagerank_world(
         &mut self,
         ctx: &HaloCtx,
@@ -835,14 +826,20 @@ impl DistCoordinator {
         let n = self.graph.num_vertices();
         let shards = self.workers.len();
         let mut board = vec![1.0 / n.max(1) as f64; n];
+        // The ids each shard reported in the previous step, ascending.
+        let mut reported: Vec<Vec<VertexId>> = vec![Vec::new(); shards];
+        let mut fed: Vec<VertexId> = Vec::new();
         for step in 0..config.max_iterations {
             if step > 0 {
                 for k in 0..shards {
-                    // Feeds are chunked so a shard with a large halo (the
-                    // hub shard of a power-law graph can ghost most of the
-                    // graph) never exceeds the worker's request-line bound;
-                    // the worker installs each chunk incrementally.
-                    for chunk in plan.shard(k).ghosts().chunks(FEED_CHUNK_ENTRIES) {
+                    fed.clear();
+                    for ids in &reported {
+                        fed.extend(fed_ghosts(plan.shard(k), ids));
+                    }
+                    // Chunked so a feed never exceeds the worker's
+                    // request-line bound; the worker installs each chunk
+                    // incrementally.
+                    for chunk in fed.chunks(FEED_CHUNK_ENTRIES) {
                         let values = chunk
                             .iter()
                             .map(|&gv| format!("\"{}\"", encode_rank(gv as u32, board[gv])))
@@ -857,7 +854,7 @@ impl DistCoordinator {
                 }
             }
             let mut acc = 0.0f64;
-            for k in 0..shards {
+            for (k, ids) in reported.iter_mut().enumerate() {
                 let tail = format!(
                     "\"phase\": \"step\", \"step\": {step}, \"acc\": \"{}\"",
                     f64_to_hex(acc)
@@ -878,9 +875,13 @@ impl DistCoordinator {
                     Some(entries) => entries,
                     None => return Ok(None),
                 };
+                ids.clear();
                 for entry in &entries {
                     match decode_rank(entry) {
-                        Ok((gid, rank)) if (gid as usize) < n => board[gid as usize] = rank,
+                        Ok((gid, rank)) if (gid as usize) < n => {
+                            board[gid as usize] = rank;
+                            ids.push(gid as usize);
+                        }
                         _ => {
                             let why = format!("unparseable boundary rank {entry:?}");
                             self.fail_worker(k, &why)?;
@@ -967,8 +968,7 @@ impl DistCoordinator {
         let partition = Arc::clone(&self.partition);
         let mut values = vec![0.0f64; n];
         for k in 0..shards {
-            let tail =
-                format!("\"phase\": \"collect\", \"from\": 0, \"max\": {DEFAULT_BOUNDARY_PAGE}");
+            let tail = format!("\"phase\": \"collect\", \"from\": 0, \"max\": {HALO_PAGE}");
             let line = self.halo_line(ctx, k, world, &tail);
             let response = match self.halo_request(k, &line)? {
                 Some(response) => response,
@@ -1047,7 +1047,7 @@ impl DistCoordinator {
         };
         while entries.len() < total {
             let tail = format!(
-                "\"phase\": \"{phase}\", \"from\": {}, \"max\": {DEFAULT_BOUNDARY_PAGE}",
+                "\"phase\": \"{phase}\", \"from\": {}, \"max\": {HALO_PAGE}",
                 entries.len()
             );
             let line = self.halo_line(ctx, k, world, &tail);

@@ -53,6 +53,14 @@
 //!   kind the distributed fleet deploys) shard-order traversal of owned
 //!   vertices *is* ascending global order, so the chained fold reproduces
 //!   the monolithic fold exactly.
+//! * **World-sparse exchange.**  A ghost's rank is read only through a push
+//!   edge that is *present* in the world, so a shard needs, per iteration,
+//!   only the ranks of ghosts with a present edge into it.  Those are the
+//!   owners' [`active_boundary_into`] vertices: owned boundary vertices
+//!   with at least one present edge to a ghost.  Exchanging just those
+//!   ([`fed_ghosts`] picks a shard's share) is exact: a ghost that is not
+//!   fed keeps a stale value that no superstep reads, so ranks, deltas and
+//!   the stop step keep the same bits.
 //!
 //! Identical per-iteration ranks and an identical delta give an identical
 //! stop decision (`delta < tolerance`), hence the same iteration count and
@@ -104,7 +112,7 @@
 use graph_algos::clustering::{local_clustering_into, ClusteringScratch};
 use graph_algos::pagerank::{dangling_mass, PageRankConfig};
 use graph_algos::DeterministicGraph;
-use uncertain_graph::{HaloPlan, ShardHalo, UncertainGraph, VertexId};
+use uncertain_graph::{HaloPlan, ShardHalo, UncertainGraph, VertexId, NOT_IN_HALO};
 
 use crate::sharded::ShardedWorld;
 
@@ -182,6 +190,35 @@ impl WorldPresence {
     pub fn dangling(&self) -> usize {
         self.num_vertices - self.touched_vertices.len()
     }
+}
+
+/// Fills `out` with the owned boundary vertices of `halo` (ascending global
+/// ids) that have at least one present edge to a ghost in the stamped
+/// world: the only owned ranks another shard reads during this world's
+/// PageRank supersteps.  Reuses `out`'s capacity, so steady-state calls
+/// allocate nothing.
+pub fn active_boundary_into(halo: &ShardHalo, presence: &WorldPresence, out: &mut Vec<VertexId>) {
+    out.clear();
+    let owned = halo.owned() as u32;
+    out.extend(halo.boundary().iter().copied().filter(|&v| {
+        halo.halo_neighbors(halo.halo_index(v) as usize)
+            .iter()
+            .any(|&(neighbor, edge)| neighbor >= owned && presence.edge_present(edge))
+    }));
+}
+
+/// The vertices of `reported` that are ghosts of `halo`: a shard's share
+/// of the other shards' [`active_boundary_into`] reports, i.e. the ghost
+/// ranks it must be fed before the next superstep.
+pub fn fed_ghosts<'a>(
+    halo: &'a ShardHalo,
+    reported: &'a [VertexId],
+) -> impl Iterator<Item = VertexId> + 'a {
+    let owned = halo.owned();
+    reported.iter().copied().filter(move |&v| {
+        let local = halo.halo_index(v);
+        local != NOT_IN_HALO && local as usize >= owned
+    })
 }
 
 /// Per-shard PageRank superstep state: a halo-local rank vector (owned
@@ -587,7 +624,7 @@ mod tests {
     use graph_algos::pagerank::pagerank;
     use graph_algos::traversal::bfs_distances;
     use rand::rngs::SmallRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
     use uncertain_graph::GraphPartition;
 
     fn toy() -> UncertainGraph {
@@ -659,6 +696,160 @@ mod tests {
                         b.to_bits(),
                         "world {world} vertex {v} labels {labels:?}"
                     );
+                }
+            }
+        }
+    }
+
+    /// A simple graph of `n` vertices: a ring plus `chords` random chords,
+    /// with probabilities spread over (0.05, 0.95).
+    fn random_graph(n: usize, chords: usize, seed: u64) -> UncertainGraph {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut pairs: Vec<(usize, usize)> = (0..n).map(|u| (u, (u + 1) % n)).collect();
+        while pairs.len() < n + chords {
+            let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            if u != v && !pairs.contains(&(u, v)) && !pairs.contains(&(v, u)) {
+                pairs.push((u, v));
+            }
+        }
+        let edges: Vec<(usize, usize, f64)> = pairs
+            .into_iter()
+            .map(|(u, v)| (u, v, 0.05 + 0.9 * rng.gen::<f64>()))
+            .collect();
+        UncertainGraph::from_edges(n, edges).unwrap()
+    }
+
+    /// Sharded PageRank over the world stamped in `presence`, exchanging
+    /// only the world-sparse halo: each step, shard `s` reports `active[s]`
+    /// and is fed `fed[s]`.  The board and every unfed ghost start as NaN,
+    /// so a rank read that the exchange did not deliver poisons the result.
+    fn sparse_pagerank(
+        plan: &HaloPlan,
+        partition: &GraphPartition,
+        presence: &WorldPresence,
+        active: &[Vec<VertexId>],
+        fed: &[Vec<VertexId>],
+        config: &PageRankConfig,
+    ) -> Vec<f64> {
+        let n = partition.num_vertices();
+        let uniform = 1.0 / n as f64;
+        let mut states: Vec<ShardPageRank> = (0..plan.num_shards())
+            .map(|s| {
+                let halo = plan.shard(s);
+                let mut state = ShardPageRank::new(halo);
+                state.reset(uniform);
+                for (j, ghost) in halo.ghosts().iter().enumerate() {
+                    if !fed[s].contains(ghost) {
+                        state.set_ghost_rank(j, f64::NAN);
+                    }
+                }
+                state
+            })
+            .collect();
+        let mut board = vec![f64::NAN; n];
+        let mut diffs = vec![0.0; n];
+        let mut rank_d = uniform;
+        for step in 0..config.max_iterations {
+            let mass = dangling_mass(rank_d, presence.dangling());
+            let base = (1.0 - config.damping) * uniform + config.damping * mass * uniform;
+            for (s, state) in states.iter_mut().enumerate() {
+                let halo = plan.shard(s);
+                if step > 0 {
+                    for &v in &fed[s] {
+                        state.set_halo_rank(halo.halo_index(v) as usize, board[v]);
+                    }
+                }
+                state.superstep(halo, presence, config.damping, base);
+            }
+            for (s, state) in states.iter_mut().enumerate() {
+                let halo = plan.shard(s);
+                state.write_diffs(partition.shard(s).vertices(), &mut diffs);
+                state.commit();
+                for &v in &active[s] {
+                    board[v] = state.halo_rank(halo.halo_index(v) as usize);
+                }
+            }
+            let delta: f64 = diffs.iter().sum();
+            rank_d = base;
+            if delta < config.tolerance {
+                break;
+            }
+        }
+        let mut ranks = vec![f64::NAN; n];
+        for (s, state) in states.iter().enumerate() {
+            for (&v, &r) in partition
+                .shard(s)
+                .vertices()
+                .iter()
+                .zip(state.owned_ranks())
+            {
+                ranks[v] = r;
+            }
+        }
+        ranks
+    }
+
+    #[test]
+    fn world_sparse_feed_covers_every_read_and_keeps_pagerank_bitwise() {
+        let config = PageRankConfig::default();
+        for (shards, seed) in [(2usize, 21u64), (3, 22), (4, 23)] {
+            let g = random_graph(48, 64, seed);
+            let n = g.num_vertices();
+            let labellings: [Vec<usize>; 2] = [
+                (0..n).map(|v| v * shards / n).collect(),
+                (0..n).map(|v| (v * 7 + 3) % shards).collect(),
+            ];
+            for labels in labellings {
+                let partition = GraphPartition::from_labels(&g, &labels, shards).unwrap();
+                let plan = HaloPlan::new(&g, &partition);
+                let sharded =
+                    ShardedWorldEngine::new(&g, &partition).with_method(SampleMethod::Skip);
+                let monolithic = WorldEngine::new(&g).with_method(SampleMethod::Skip);
+                let mut sharded_scratch = WorldSource::make_scratch(&sharded);
+                let mut mono_scratch = monolithic.make_scratch();
+                let mut rng_s = SmallRng::seed_from_u64(seed);
+                let mut rng_m = SmallRng::seed_from_u64(seed);
+                let mut presence = WorldPresence::new(&g);
+                let mut active: Vec<Vec<VertexId>> = vec![Vec::new(); shards];
+                let mut fed: Vec<Vec<VertexId>> = vec![Vec::new(); shards];
+                for world in 0..40 {
+                    let mono_world = monolithic.sample_world(&mut rng_m, &mut mono_scratch);
+                    let expected = pagerank(mono_world, &config);
+                    let view = match sharded.sample_world(&mut rng_s, &mut sharded_scratch) {
+                        WorldView::Sharded(view) => view,
+                        _ => unreachable!(),
+                    };
+                    presence.stamp(&g, view.all_present());
+                    for (s, out) in active.iter_mut().enumerate() {
+                        active_boundary_into(plan.shard(s), &presence, out);
+                    }
+                    let reported = active.concat();
+                    for (s, out) in fed.iter_mut().enumerate() {
+                        *out = fed_ghosts(plan.shard(s), &reported).collect();
+                    }
+                    // Every ghost a present push edge reads is fed.
+                    for (s, fed) in fed.iter().enumerate() {
+                        let halo = plan.shard(s);
+                        for push in halo.push_edges() {
+                            if push.source_halo as usize >= halo.owned()
+                                && presence.edge_present(push.edge)
+                            {
+                                assert!(
+                                    fed.contains(&(push.source as usize)),
+                                    "world {world}: shard {s}/{shards} reads ghost {} unfed",
+                                    push.source
+                                );
+                            }
+                        }
+                    }
+                    let got = sparse_pagerank(&plan, &partition, &presence, &active, &fed, &config);
+                    for (v, (a, b)) in got.iter().zip(expected.iter()).enumerate() {
+                        assert_eq!(
+                            a.to_bits(),
+                            b.to_bits(),
+                            "world {world} vertex {v}, {shards} shards, labels {labels:?}"
+                        );
+                    }
                 }
             }
         }

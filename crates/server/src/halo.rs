@@ -26,15 +26,16 @@ use minijson::Value;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use ugs_queries::halo::{
-    decode_level, decode_rank, encode_level, encode_rank, f64_to_hex, ShardBfs, ShardClustering,
-    ShardPageRank, WorldPresence,
+    active_boundary_into, decode_level, decode_rank, encode_level, encode_rank, f64_to_hex,
+    ShardBfs, ShardClustering, ShardPageRank, WorldPresence,
 };
 use ugs_queries::sharded::{ShardScratch, ShardedWorldEngine};
 use ugs_queries::SampleMethod;
-use uncertain_graph::{GraphPartition, UncertainGraph, NOT_IN_HALO};
+use uncertain_graph::{GraphPartition, UncertainGraph, VertexId, NOT_IN_HALO};
 
 use crate::protocol::{
     error_line, finish_ok, ok_builder, ErrorCode, HaloKernel, HaloPhase, HaloRequest, RequestError,
+    HALO_PAGE,
 };
 
 /// What the connection hands the halo dispatcher: the served graph, the
@@ -58,6 +59,9 @@ enum Kernel {
         /// iteration's `base` thereafter (see [`ugs_queries::halo`]).
         rank_d: f64,
         step: usize,
+        /// Owned boundary vertices with a present edge to a ghost in the
+        /// current world: the ones each step reports.
+        active: Vec<VertexId>,
     },
     Clustering {
         state: ShardClustering,
@@ -101,6 +105,7 @@ impl<'g> HaloSession<'g> {
                 state: ShardPageRank::new(engine.halo_plan().shard(env.shard)),
                 rank_d: 0.0,
                 step: 0,
+                active: Vec::new(),
             },
             HaloKernel::Clustering => Kernel::Clustering {
                 state: ShardClustering::new(),
@@ -184,6 +189,10 @@ impl<'g> HaloSession<'g> {
             self.sampled = target + 1;
             self.presence
                 .stamp(self.engine.graph(), self.engine.world_edges(&self.scratch));
+            if let Kernel::PageRank { active, .. } = &mut self.kernel {
+                let halo = self.engine.halo_plan().shard(self.shard);
+                active_boundary_into(halo, &self.presence, active);
+            }
             self.init_kernel();
         } else if target + 1 == self.sampled {
             if matches!(request.phase, HaloPhase::Step { step: 0, .. }) && self.kernel_started() {
@@ -259,6 +268,7 @@ impl<'g> HaloSession<'g> {
                 state,
                 rank_d,
                 step: at,
+                active,
             } => {
                 if step != *at {
                     return Err((
@@ -289,7 +299,7 @@ impl<'g> HaloSession<'g> {
                 *rank_d = base;
                 *at += 1;
                 self.report.clear();
-                for &gv in halo.boundary() {
+                for &gv in active.iter() {
                     let local = halo.halo_index(gv) as usize;
                     self.report
                         .push(encode_rank(gv as u32, state.owned_ranks()[local]));
@@ -299,12 +309,7 @@ impl<'g> HaloSession<'g> {
                     .field("world", request.world)
                     .field("step", step)
                     .field("acc", f64_to_hex(acc_out));
-                builder = page_fields(
-                    builder,
-                    &self.report,
-                    0,
-                    crate::protocol::DEFAULT_BOUNDARY_PAGE,
-                );
+                builder = page_fields(builder, &self.report, 0, HALO_PAGE);
                 Ok(finish_ok(builder))
             }
             Kernel::Bfs {
@@ -356,12 +361,7 @@ impl<'g> HaloSession<'g> {
                     .field("job", request.job.as_str())
                     .field("world", request.world)
                     .field("step", step);
-                builder = page_fields(
-                    builder,
-                    &self.report,
-                    0,
-                    crate::protocol::DEFAULT_BOUNDARY_PAGE,
-                );
+                builder = page_fields(builder, &self.report, 0, HALO_PAGE);
                 Ok(finish_ok(builder))
             }
             Kernel::Clustering { .. } => Err((

@@ -54,9 +54,11 @@
 //! Re-submitting the same token with a larger `worlds` raises the target
 //! of a running job (how an adaptive coordinator extends by epochs); any
 //! other parameter change is rejected — the replay identity is immutable.
-//! Shard jobs are scoped to their connection and bounded by the same
-//! [`ServerConfig::max_inflight`] budget; when the connection closes, its
-//! sampler threads are stopped and joined.
+//! Shard jobs are scoped to their connection.  Submitting a new token
+//! first releases the connection's finished jobs (every targeted world
+//! sampled, or the sampler dead), and the same
+//! [`ServerConfig::max_inflight`] budget bounds the jobs still running;
+//! when the connection closes, its sampler threads are stopped and joined.
 //!
 //! ## Ghost-halo exchange (`halo`)
 //!
@@ -72,9 +74,13 @@
 //! to the named `world`.  A world then runs as supersteps: `feed` installs
 //! exchanged ghost ranks (`"gid:hex"` entries), `step T` runs one
 //! superstep (PageRank threads the convergence accumulator `acc` through
-//! shards and reports its boundary ranks; BFS absorbs routed `"gid:level"`
-//! settlements and reports the newly settled vertices), `page` re-reads a
-//! step report window idempotently, and `collect` pages the owned final
+//! shards and reports the ranks of its *active* boundary — the owned
+//! vertices with at least one edge to a ghost that is present in the
+//! world, the only ranks another shard reads — with `total` counting that
+//! list; BFS absorbs routed `"gid:level"` settlements and reports the
+//! newly settled vertices).  A step answers its first
+//! [`protocol::HALO_PAGE`] entries inline, `page` re-reads a step report
+//! window idempotently, and `collect` pages the owned final
 //! values (for clustering, `collect` triggers the one-shot halo
 //! computation).  **`step 0` on the current world restarts its kernel
 //! without resampling** — the coordinator's recovery move after a

@@ -286,6 +286,13 @@ fn check_fields(value: &Value, allowed: &[&str], what: &str) -> Result<(), Reque
 /// Records returned by a `boundary` read when the request names no `max`.
 pub const DEFAULT_BOUNDARY_PAGE: usize = 512;
 
+/// Entries in the first window of a `halo` step report, and the window a
+/// coordinator asks for when it pages a step report or a `collect`.  At
+/// ~26 bytes per `"gid:hex"` entry a full window is ~0.9 MB, so one line
+/// carries the whole report of a 60k-vertex graph's shard while staying
+/// far below the client's response-line cap.
+pub const HALO_PAGE: usize = 32_768;
+
 fn job_token(value: &Value) -> Result<String, RequestError> {
     match value.get_str("job") {
         Some(token) if !token.is_empty() => Ok(token.to_string()),

@@ -743,11 +743,19 @@ fn shard_submit(
                 .field("target", target),
         );
     }
+    // A new token starts a new job: release the connection's finished ones
+    // (each holds a parked sampler thread, its engine and every record), so
+    // the budget bounds only jobs that are still running.
+    let held = shard_jobs.len();
+    shard_jobs.retain(|_, job| !job.finished());
+    shared
+        .shard_jobs
+        .fetch_sub(held - shard_jobs.len(), Ordering::SeqCst);
     let budget = shared.config.max_inflight.max(1);
     if shard_jobs.len() >= budget {
         return error_line(
             ErrorCode::OverBudget,
-            &format!("connection budget of {budget} shard jobs reached"),
+            &format!("connection budget of {budget} running shard jobs reached"),
         );
     }
     let token = request.job.clone();

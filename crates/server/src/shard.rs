@@ -13,7 +13,10 @@
 //!
 //! Job state lives and dies with the connection that submitted it — a
 //! coordinator that loses a worker reconnects and resubmits, and the fresh
-//! job deterministically resamples the identical stream from world 0.
+//! job deterministically resamples the identical stream from world 0.  A
+//! finished job (every targeted world sampled, or its sampler dead) is
+//! released when its connection submits a new token, so a long-lived
+//! coordinator connection holds at most its current job.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -182,6 +185,13 @@ impl ShardJob {
     pub(crate) fn progress(&self) -> (usize, usize) {
         let guard = lock_state(&self.state.0);
         (guard.pos, guard.target)
+    }
+
+    /// Whether the job has nothing left to do: every targeted world is
+    /// sampled (its thread is parked until a raise) or the sampler died.
+    pub(crate) fn finished(&self) -> bool {
+        let guard = lock_state(&self.state.0);
+        guard.failed.is_some() || guard.pos >= guard.target
     }
 
     /// Non-blocking page read: up to `max` encoded records starting at

@@ -420,7 +420,9 @@ pub struct ShardHalo {
     /// with both endpoints in the halo, in ascending global-edge order.
     halo_edges: Vec<(u32, u32, u32)>,
     /// Owned vertices incident to at least one cut edge (ascending global
-    /// ids) — the values other shards need from this one each superstep.
+    /// ids) — the static superset of the values other shards need from
+    /// this one each superstep (a world needs only those with a present
+    /// cut edge).
     boundary: Vec<VertexId>,
     /// CSR over halo-local vertices: `(neighbour halo-local, global edge)`.
     csr_offsets: Vec<u32>,
