@@ -14,7 +14,8 @@ use rand::{Rng, SeedableRng};
 use ugs_queries::batch::WorldObserver;
 use ugs_queries::boundary::{glue_records, GluedWorld, ShardWorldRecord};
 use ugs_queries::halo::{
-    decode_level, decode_rank, encode_level, encode_rank, f64_from_hex, f64_to_hex, fed_ghosts,
+    decode_window, encode_window, f64_from_hex, f64_to_hex, fed_ghosts, pack_level, pack_rank,
+    unpack_levels, unpack_ranks, unpack_values, LEVEL_RECORD, RANK_RECORD, VALUE_RECORD,
 };
 use ugs_queries::variance::{Precision, StoppingRule};
 use ugs_queries::{ClusteringObserver, KnnObserver, PageRankObserver};
@@ -30,15 +31,6 @@ use crate::recovery::{Failover, RecoveryReport, StandbyPool};
 /// One shard's `(degree_histogram, intra_edge_presence)` cross-world
 /// aggregates, as returned by `shard_result`.
 type ShardAggregates = (Vec<u64>, Vec<u64>);
-
-/// Ghost-rank entries per `feed` line.  A feed carries only the ids the
-/// other shards reported in the previous step that are ghosts of the fed
-/// shard — usually a fraction of its static ghosts — but a dense world can
-/// still activate most of a hub shard's halo, so feeds stay chunked.  Each
-/// entry is at most ~31 bytes on the wire, so a chunk stays around
-/// 250 KiB, comfortably inside the worker's default 1 MiB request-line
-/// bound.
-const FEED_CHUNK_ENTRIES: usize = 8_192;
 
 /// Failure-model knobs of a [`DistCoordinator`].
 ///
@@ -313,10 +305,16 @@ enum Placed {
     Halo,
 }
 
-/// Validates one paged halo window: `values` must be strings, `from` must
-/// match the cursor we asked for, `total` must be present.  Returns the
-/// window's entries and the report's total size.
-fn halo_window(response: &Value, expect_from: usize) -> Result<(Vec<String>, usize), String> {
+/// Validates one paged halo window and appends its records to `records`:
+/// `from` must match the cursor we asked for, `total` must be present, and
+/// `values` must be a packed window of whole `width`-byte records.
+/// Returns the window's record count and the report's total.
+fn halo_window(
+    response: &Value,
+    expect_from: usize,
+    width: usize,
+    records: &mut Vec<u8>,
+) -> Result<(usize, usize), String> {
     let total = response
         .get_usize("total")
         .ok_or_else(|| format!("halo window without a total: {}", response.render()))?;
@@ -328,15 +326,38 @@ fn halo_window(response: &Value, expect_from: usize) -> Result<(Vec<String>, usi
             "halo window starts at {from}, expected {expect_from}"
         ));
     }
-    let entries = response
-        .get("values")
-        .and_then(|value| value.as_array())
-        .ok_or_else(|| format!("halo window without values: {}", response.render()))?
-        .iter()
-        .map(|entry| entry.as_str().map(str::to_string))
-        .collect::<Option<Vec<String>>>()
-        .ok_or_else(|| "halo window carries non-string values".to_string())?;
-    Ok((entries, total))
+    let text = response
+        .get_str("values")
+        .ok_or_else(|| "halo window without a packed values string".to_string())?;
+    let count = decode_window(text.as_bytes(), width, records)
+        .map_err(|why| format!("malformed halo window: {why}"))?;
+    Ok((count, total))
+}
+
+/// Renders one `halo` line: the full session identity (so any worker —
+/// original, reconnected, or promoted standby — can rebuild the session
+/// from this line alone), the phase-specific `tail`, and, when given, the
+/// packed window `records` as the `values` field.
+fn render_halo_line(
+    ctx: &HaloCtx,
+    k: usize,
+    shards: usize,
+    world: usize,
+    tail: &str,
+    records: Option<&[u8]>,
+) -> String {
+    let mut line = format!(
+        "{{\"op\": \"halo\", \"job\": \"{}\", \"shard\": {k}, \"shards\": {shards}, \
+         \"seed\": \"{}\", \"mode\": \"{}\", \"kernel\": {}, \"world\": {world}, {tail}",
+        ctx.token, ctx.seed, ctx.mode, ctx.kernel
+    );
+    if let Some(records) = records {
+        line.push_str(", \"values\": \"");
+        encode_window(records, &mut line);
+        line.push('"');
+    }
+    line.push('}');
+    line
 }
 
 /// Drives a fleet of shard workers through [`QueryPlan`]s, resolving each
@@ -829,6 +850,7 @@ impl DistCoordinator {
         // The ids each shard reported in the previous step, ascending.
         let mut reported: Vec<Vec<VertexId>> = vec![Vec::new(); shards];
         let mut fed: Vec<VertexId> = Vec::new();
+        let mut packed: Vec<u8> = Vec::new();
         for step in 0..config.max_iterations {
             if step > 0 {
                 for k in 0..shards {
@@ -836,17 +858,16 @@ impl DistCoordinator {
                     for ids in &reported {
                         fed.extend(fed_ghosts(plan.shard(k), ids));
                     }
-                    // Chunked so a feed never exceeds the worker's
-                    // request-line bound; the worker installs each chunk
-                    // incrementally.
-                    for chunk in fed.chunks(FEED_CHUNK_ENTRIES) {
-                        let values = chunk
-                            .iter()
-                            .map(|&gv| format!("\"{}\"", encode_rank(gv as u32, board[gv])))
-                            .collect::<Vec<_>>()
-                            .join(", ");
-                        let tail = format!("\"phase\": \"feed\", \"values\": [{values}]");
-                        let line = self.halo_line(ctx, k, world, &tail);
+                    // One window per line, so a feed never exceeds the
+                    // worker's request-line bound; the worker installs
+                    // each window incrementally.
+                    for chunk in fed.chunks(HALO_PAGE) {
+                        packed.clear();
+                        for &gv in chunk {
+                            pack_rank(&mut packed, gv as u32, board[gv]);
+                        }
+                        let line =
+                            self.halo_line(ctx, k, world, "\"phase\": \"feed\"", Some(&packed));
                         if self.halo_request(k, &line)?.is_none() {
                             return Ok(None);
                         }
@@ -859,7 +880,7 @@ impl DistCoordinator {
                     "\"phase\": \"step\", \"step\": {step}, \"acc\": \"{}\"",
                     f64_to_hex(acc)
                 );
-                let line = self.halo_line(ctx, k, world, &tail);
+                let line = self.halo_line(ctx, k, world, &tail, None);
                 let response = match self.halo_request(k, &line)? {
                     Some(response) => response,
                     None => return Ok(None),
@@ -871,23 +892,19 @@ impl DistCoordinator {
                         return Ok(None);
                     }
                 };
-                let entries = match self.halo_entries(ctx, k, world, response)? {
-                    Some(entries) => entries,
+                let records = match self.halo_pages(ctx, k, world, response, "page", RANK_RECORD)? {
+                    Some(records) => records,
                     None => return Ok(None),
                 };
                 ids.clear();
-                for entry in &entries {
-                    match decode_rank(entry) {
-                        Ok((gid, rank)) if (gid as usize) < n => {
-                            board[gid as usize] = rank;
-                            ids.push(gid as usize);
-                        }
-                        _ => {
-                            let why = format!("unparseable boundary rank {entry:?}");
-                            self.fail_worker(k, &why)?;
-                            return Ok(None);
-                        }
+                for (gid, rank) in unpack_ranks(&records) {
+                    if gid as usize >= n {
+                        let why = format!("boundary rank for vertex {gid} of {n}");
+                        self.fail_worker(k, &why)?;
+                        return Ok(None);
                     }
+                    board[gid as usize] = rank;
+                    ids.push(gid as usize);
                 }
             }
             if acc < config.tolerance {
@@ -913,39 +930,37 @@ impl DistCoordinator {
         let mut dist = vec![u32::MAX; n];
         dist[source] = 0;
         let mut settlements: Vec<(u32, u32)> = vec![(source as u32, 0)];
+        let mut routed: Vec<u8> = Vec::new();
         let mut step = 0usize;
         while !settlements.is_empty() && step < n.max(1) {
             let mut next: Vec<(u32, u32)> = Vec::new();
             for k in 0..shards {
-                let routed = settlements
-                    .iter()
-                    .filter(|&&(v, _)| partition.shard_of(v as usize) == k)
-                    .map(|&(v, level)| format!("\"{}\"", encode_level(v, level)))
-                    .collect::<Vec<_>>()
-                    .join(", ");
-                let tail = format!("\"phase\": \"step\", \"step\": {step}, \"values\": [{routed}]");
-                let line = self.halo_line(ctx, k, world, &tail);
+                routed.clear();
+                for &(v, level) in &settlements {
+                    if partition.shard_of(v as usize) == k {
+                        pack_level(&mut routed, v, level);
+                    }
+                }
+                let tail = format!("\"phase\": \"step\", \"step\": {step}");
+                let line = self.halo_line(ctx, k, world, &tail, Some(&routed));
                 let response = match self.halo_request(k, &line)? {
                     Some(response) => response,
                     None => return Ok(None),
                 };
-                let entries = match self.halo_entries(ctx, k, world, response)? {
-                    Some(entries) => entries,
-                    None => return Ok(None),
-                };
-                for entry in &entries {
-                    match decode_level(entry) {
-                        Ok((gid, level)) if (gid as usize) < n => {
-                            if dist[gid as usize] == u32::MAX {
-                                dist[gid as usize] = level;
-                                next.push((gid, level));
-                            }
-                        }
-                        _ => {
-                            let why = format!("unparseable settlement {entry:?}");
-                            self.fail_worker(k, &why)?;
-                            return Ok(None);
-                        }
+                let records =
+                    match self.halo_pages(ctx, k, world, response, "page", LEVEL_RECORD)? {
+                        Some(records) => records,
+                        None => return Ok(None),
+                    };
+                for (gid, level) in unpack_levels(&records) {
+                    if gid as usize >= n {
+                        let why = format!("settlement for vertex {gid} of {n}");
+                        self.fail_worker(k, &why)?;
+                        return Ok(None);
+                    }
+                    if dist[gid as usize] == u32::MAX {
+                        dist[gid as usize] = level;
+                        next.push((gid, level));
                     }
                 }
             }
@@ -969,67 +984,40 @@ impl DistCoordinator {
         let mut values = vec![0.0f64; n];
         for k in 0..shards {
             let tail = format!("\"phase\": \"collect\", \"from\": 0, \"max\": {HALO_PAGE}");
-            let line = self.halo_line(ctx, k, world, &tail);
+            let line = self.halo_line(ctx, k, world, &tail, None);
             let response = match self.halo_request(k, &line)? {
                 Some(response) => response,
                 None => return Ok(None),
             };
-            let entries = match self.halo_collected(ctx, k, world, response)? {
-                Some(entries) => entries,
+            let records = match self.halo_pages(ctx, k, world, response, "collect", VALUE_RECORD)? {
+                Some(records) => records,
                 None => return Ok(None),
             };
             let vertices = partition.shard(k).vertices();
-            if entries.len() != vertices.len() {
+            let collected = records.len() / VALUE_RECORD;
+            if collected != vertices.len() {
                 let why = format!(
-                    "shard {k} collected {} values for {} owned vertices",
-                    entries.len(),
+                    "shard {k} collected {collected} values for {} owned vertices",
                     vertices.len()
                 );
                 self.fail_worker(k, &why)?;
                 return Ok(None);
             }
-            for (local, entry) in entries.iter().enumerate() {
-                match f64_from_hex(entry) {
-                    Ok(value) => values[vertices[local]] = value,
-                    Err(_) => {
-                        let why = format!("unparseable collected value {entry:?}");
-                        self.fail_worker(k, &why)?;
-                        return Ok(None);
-                    }
-                }
+            for (&global, value) in vertices.iter().zip(unpack_values(&records)) {
+                values[global] = value;
             }
         }
         Ok(Some(values))
     }
 
-    /// Pages the remainder of a step report whose first window is
-    /// `response`; `Ok(None)` restarts the world.
-    fn halo_entries(
-        &mut self,
-        ctx: &HaloCtx,
-        k: usize,
-        world: usize,
-        response: Value,
-    ) -> Result<Option<Vec<String>>, ServiceError> {
-        self.halo_pages(ctx, k, world, response, "page")
-    }
-
-    /// Pages the remainder of a collect whose first window is `response`.
-    fn halo_collected(
-        &mut self,
-        ctx: &HaloCtx,
-        k: usize,
-        world: usize,
-        response: Value,
-    ) -> Result<Option<Vec<String>>, ServiceError> {
-        self.halo_pages(ctx, k, world, response, "collect")
-    }
-
-    /// Drains a paged halo report: validates the first window, then issues
-    /// `phase` requests until `total` entries arrived.  Pages are
-    /// idempotent re-reads of session state, so re-requesting a window
-    /// after a hiccup is safe; a window that fails to advance fails the
-    /// worker instead of spinning.
+    /// Drains a paged halo report of `width`-byte records whose first
+    /// window is `first` (a step or collect response): validates it, then
+    /// issues `phase` requests (`page` for a step report, `collect`) until
+    /// `total` records arrived, and returns them.  Pages are idempotent
+    /// re-reads of session state, so re-requesting a window after a hiccup
+    /// is safe; a window that fails to advance, or a report that overshoots
+    /// its `total`, fails the worker instead of spinning.  `Ok(None)`
+    /// restarts the world.
     fn halo_pages(
         &mut self,
         ctx: &HaloCtx,
@@ -1037,38 +1025,43 @@ impl DistCoordinator {
         world: usize,
         first: Value,
         phase: &str,
-    ) -> Result<Option<Vec<String>>, ServiceError> {
-        let (mut entries, total) = match halo_window(&first, 0) {
+        width: usize,
+    ) -> Result<Option<Vec<u8>>, ServiceError> {
+        let mut records = Vec::new();
+        let (mut received, total) = match halo_window(&first, 0, width, &mut records) {
             Ok(window) => window,
             Err(why) => {
                 self.fail_worker(k, &why)?;
                 return Ok(None);
             }
         };
-        while entries.len() < total {
-            let tail = format!(
-                "\"phase\": \"{phase}\", \"from\": {}, \"max\": {HALO_PAGE}",
-                entries.len()
-            );
-            let line = self.halo_line(ctx, k, world, &tail);
+        while received < total {
+            let tail =
+                format!("\"phase\": \"{phase}\", \"from\": {received}, \"max\": {HALO_PAGE}");
+            let line = self.halo_line(ctx, k, world, &tail, None);
             let response = match self.halo_request(k, &line)? {
                 Some(response) => response,
                 None => return Ok(None),
             };
-            let (page, page_total) = match halo_window(&response, entries.len()) {
+            let (count, page_total) = match halo_window(&response, received, width, &mut records) {
                 Ok(window) => window,
                 Err(why) => {
                     self.fail_worker(k, &why)?;
                     return Ok(None);
                 }
             };
-            if page_total != total || page.is_empty() {
+            if page_total != total || count == 0 {
                 self.fail_worker(k, "halo report window did not advance")?;
                 return Ok(None);
             }
-            entries.extend(page);
+            received += count;
         }
-        Ok(Some(entries))
+        if received != total {
+            let why = format!("halo report carried {received} records for a total of {total}");
+            self.fail_worker(k, &why)?;
+            return Ok(None);
+        }
+        Ok(Some(records))
     }
 
     /// One halo exchange with worker `k` — **single attempt**.  A halo
@@ -1098,19 +1091,16 @@ impl DistCoordinator {
         }
     }
 
-    /// Renders one `halo` line: the full session identity (so any worker —
-    /// original, reconnected, or promoted standby — can rebuild the session
-    /// from this line alone) plus the phase-specific `tail`.
-    fn halo_line(&self, ctx: &HaloCtx, k: usize, world: usize, tail: &str) -> String {
-        format!(
-            "{{\"op\": \"halo\", \"job\": \"{}\", \"shard\": {k}, \"shards\": {}, \
-             \"seed\": \"{}\", \"mode\": \"{}\", \"kernel\": {}, \"world\": {world}, {tail}}}",
-            ctx.token,
-            self.workers.len(),
-            ctx.seed,
-            ctx.mode,
-            ctx.kernel
-        )
+    /// Renders one `halo` line for worker `k` ([`render_halo_line`]).
+    fn halo_line(
+        &self,
+        ctx: &HaloCtx,
+        k: usize,
+        world: usize,
+        tail: &str,
+        records: Option<&[u8]>,
+    ) -> String {
+        render_halo_line(ctx, k, self.workers.len(), world, tail, records)
     }
 
     /// Pings every worker once through the ordinary retry/reconnect/
@@ -1540,4 +1530,56 @@ fn u64_array(value: Option<&Value>) -> Option<Vec<u64>> {
         .iter()
         .map(|entry| entry.as_f64().map(|f| f as u64))
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ugs_server::protocol::{parse_request, HaloPhase, Request, MAX_LINE_BYTES};
+
+    #[test]
+    fn a_full_feed_window_with_the_longest_identity_fits_one_request_line() {
+        // The longest identity the coordinator renders: every integer at
+        // its widest, the longest mode name, and the pagerank kernel (the
+        // only one that is fed) with its hex damping.
+        let slot = HaloSlot::PageRank {
+            index: usize::MAX,
+            config: PageRankConfig::default(),
+            blocks: Vec::new(),
+        };
+        let ctx = HaloCtx {
+            token: format!("halo-q{}", slot.index()),
+            seed: u64::MAX,
+            mode: "per-edge",
+            kernel: slot.kernel_json(),
+        };
+        let mut records = Vec::new();
+        for i in 0..HALO_PAGE as u64 {
+            pack_rank(
+                &mut records,
+                u32::MAX - i as u32,
+                f64::from_bits(u64::MAX - i),
+            );
+        }
+        let line = render_halo_line(
+            &ctx,
+            usize::MAX,
+            usize::MAX,
+            usize::MAX,
+            "\"phase\": \"feed\"",
+            Some(&records),
+        );
+        assert!(
+            line.len() <= MAX_LINE_BYTES,
+            "a full feed line is {} bytes, over the {MAX_LINE_BYTES}-byte request cap",
+            line.len()
+        );
+        // And the worker reads it back as the same records.
+        match parse_request(&line) {
+            Ok(Request::Halo(request)) => {
+                assert_eq!(request.phase, HaloPhase::Feed { ranks: records });
+            }
+            other => panic!("a feed line parsed as {other:?}"),
+        }
+    }
 }

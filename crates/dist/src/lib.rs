@@ -52,7 +52,8 @@
 //! through the shards in ascending order, and stops at the monolithic
 //! kernel's exact break; k-NN routes BFS settlements level by level;
 //! clustering is a one-shot halo collect.  All values cross the wire as
-//! IEEE-754 bit patterns and land in per-thread-block observer clones
+//! IEEE-754 bit patterns (packed fixed-width records, one base64 string
+//! per line) and land in per-thread-block observer clones
 //! merged in block order, so the halo answers replicate the in-process
 //! `f64` fold bitwise — the same argument as invariant 3, extended to
 //! per-vertex state (see [`ugs_queries::halo`] for the iteration-

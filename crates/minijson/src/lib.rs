@@ -241,17 +241,30 @@ fn write_number(out: &mut String, x: f64) {
 
 fn write_string(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    // Copy each run of bytes that needs no escape with one `push_str`, the
+    // mirror of `parse_string`'s run scan: protocol payloads put 500 KB
+    // strings through here.  Every byte that needs an escape is ASCII, and
+    // ASCII bytes never occur inside a multi-byte UTF-8 sequence, so each
+    // split point is a char boundary.
+    let mut run = 0;
+    for (i, &byte) in s.as_bytes().iter().enumerate() {
+        let short = match byte {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            0x00..=0x1F => None,
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        match short {
+            Some(escape) => out.push_str(escape),
+            None => out.push_str(&format!("\\u{byte:04x}")),
         }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -565,6 +578,62 @@ mod tests {
     fn string_escapes_parse() {
         let v = Value::parse(r#""a\n\t\"\\A""#).unwrap();
         assert_eq!(v.as_str(), Some("a\n\t\"\\A"));
+    }
+
+    /// The per-char string writer the run-copying one replaced.
+    fn write_string_per_char(out: &mut String, s: &str) {
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+
+    #[test]
+    fn string_rendering_matches_the_per_char_writer() {
+        let controls: String = (0u8..0x20).map(char::from).collect();
+        let mut corpus: Vec<String> = [
+            "",
+            "plain ascii",
+            "\"",
+            "\\",
+            "\"\"\\\\\"",
+            "quote \" and backslash \\ inside",
+            "\u{7f} DEL stays raw",
+            "é, 日本語, 😀, \u{2028}\u{2029}, \u{fffd}",
+            "ends with an escape\n",
+            "\tstarts with one",
+            "AAAAAAAAAAAAAAAA+/+/==",
+        ]
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
+        corpus.push(controls.clone());
+        // Every control character between multi-byte neighbours.
+        corpus.push(controls.chars().map(|c| format!("ü{c}€")).collect());
+        // A long mixed string: runs of every length around escapes.
+        let pieces = ["abc", "\"", "ß", "\\", "\u{1}", "🦀", "\n", "xyz", "\u{1f}"];
+        let mut long = String::new();
+        for i in 0..5_000 {
+            long.push_str(pieces[(i * 7 + i / 3) % pieces.len()]);
+        }
+        corpus.push(long);
+        for s in &corpus {
+            let mut fast = String::new();
+            write_string(&mut fast, s);
+            let mut slow = String::new();
+            write_string_per_char(&mut slow, s);
+            assert_eq!(fast, slow, "{s:?}");
+            assert_eq!(Value::parse(&fast).unwrap().as_str(), Some(s.as_str()));
+        }
     }
 
     #[test]

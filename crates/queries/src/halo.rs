@@ -578,40 +578,198 @@ pub fn f64_from_hex(s: &str) -> Result<f64, String> {
         .map_err(|_| format!("malformed f64 hex value {s:?}"))
 }
 
-/// Encodes one `id:value` pair for the `halo` wire op (`value` in
-/// [`f64_to_hex`] form).
-pub fn encode_rank(id: u32, value: f64) -> String {
-    format!("{id}:{}", f64_to_hex(value))
+// ---------------------------------------------------------------------------
+// Packed halo windows: the wire codec of the `halo` op's bulk values.
+//
+// A window is a run of fixed-width little-endian records, sent as one JSON
+// string holding their standard (RFC 4648, padded) base64.  Base64 keeps
+// the line newline-free and escape-free, so it rides inside the ordinary
+// line-delimited JSON control plane; the records carry raw IEEE-754 bits,
+// so the exchange adds no rounding.
+
+/// Bytes of one rank record (PageRank `feed` and step reports): the `u32`
+/// global id, then the rank's `f64` bits as a `u64` — 16 base64 characters.
+pub const RANK_RECORD: usize = 12;
+
+/// Bytes of one BFS settlement record: the `u32` global id, then the `u32`
+/// level.
+pub const LEVEL_RECORD: usize = 8;
+
+/// Bytes of one collected value record: the `f64` bits as a `u64`, in
+/// owned-vertex order (the position is the id).
+pub const VALUE_RECORD: usize = 8;
+
+/// Appends one rank record to `records`.
+#[inline]
+pub fn pack_rank(records: &mut Vec<u8>, id: u32, rank: f64) {
+    records.extend_from_slice(&id.to_le_bytes());
+    records.extend_from_slice(&rank.to_bits().to_le_bytes());
 }
 
-/// Decodes [`encode_rank`] output.
-pub fn decode_rank(s: &str) -> Result<(u32, f64), String> {
-    let (id, hex) = s
-        .split_once(':')
-        .ok_or_else(|| format!("malformed rank entry {s:?}"))?;
-    let id: u32 = id
-        .parse()
-        .map_err(|_| format!("malformed rank entry {s:?}"))?;
-    Ok((id, f64_from_hex(hex)?))
+/// Appends one BFS settlement record to `records`.
+#[inline]
+pub fn pack_level(records: &mut Vec<u8>, id: u32, level: u32) {
+    records.extend_from_slice(&id.to_le_bytes());
+    records.extend_from_slice(&level.to_le_bytes());
 }
 
-/// Encodes one `id:level` BFS settlement for the `halo` wire op.
-pub fn encode_level(id: u32, level: u32) -> String {
-    format!("{id}:{level}")
+/// Appends one collected value record to `records`.
+#[inline]
+pub fn pack_value(records: &mut Vec<u8>, value: f64) {
+    records.extend_from_slice(&value.to_bits().to_le_bytes());
 }
 
-/// Decodes [`encode_level`] output.
-pub fn decode_level(s: &str) -> Result<(u32, u32), String> {
-    let (id, level) = s
-        .split_once(':')
-        .ok_or_else(|| format!("malformed level entry {s:?}"))?;
-    let id: u32 = id
-        .parse()
-        .map_err(|_| format!("malformed level entry {s:?}"))?;
-    let level: u32 = level
-        .parse()
-        .map_err(|_| format!("malformed level entry {s:?}"))?;
-    Ok((id, level))
+fn le_u32(bytes: &[u8]) -> u32 {
+    u32::from_le_bytes(bytes.try_into().expect("a 4-byte record field"))
+}
+
+fn le_f64(bytes: &[u8]) -> f64 {
+    f64::from_bits(u64::from_le_bytes(
+        bytes.try_into().expect("an 8-byte record field"),
+    ))
+}
+
+/// The `(id, rank)` pairs of whole [`RANK_RECORD`] records, as
+/// [`decode_window`] guarantees them (a trailing partial record is
+/// ignored).
+pub fn unpack_ranks(records: &[u8]) -> impl ExactSizeIterator<Item = (u32, f64)> + '_ {
+    records
+        .chunks_exact(RANK_RECORD)
+        .map(|r| (le_u32(&r[..4]), le_f64(&r[4..])))
+}
+
+/// The `(id, level)` pairs of whole [`LEVEL_RECORD`] records.
+pub fn unpack_levels(records: &[u8]) -> impl ExactSizeIterator<Item = (u32, u32)> + '_ {
+    records
+        .chunks_exact(LEVEL_RECORD)
+        .map(|r| (le_u32(&r[..4]), le_u32(&r[4..])))
+}
+
+/// The values of whole [`VALUE_RECORD`] records.
+pub fn unpack_values(records: &[u8]) -> impl ExactSizeIterator<Item = f64> + '_ {
+    records.chunks_exact(VALUE_RECORD).map(le_f64)
+}
+
+const BASE64: &[u8; 64] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
+
+/// Marks a byte outside the base64 alphabet in [`BASE64_INDEX`].
+const INVALID: u8 = 0xFF;
+
+const BASE64_INDEX: [u8; 256] = {
+    let mut index = [INVALID; 256];
+    let mut i = 0;
+    while i < 64 {
+        index[BASE64[i] as usize] = i as u8;
+        i += 1;
+    }
+    index
+};
+
+/// Appends the standard padded base64 of `records` to `out`: one packed
+/// window, ready to be a JSON string field as is.
+pub fn encode_window(records: &[u8], out: &mut String) {
+    // Encoded through a small ASCII staging buffer so each chunk lands in
+    // `out` with one `push_str`.
+    const QUADS: usize = 256;
+    out.reserve(records.len().div_ceil(3) * 4);
+    let mut stage = [0u8; QUADS * 4];
+    for block in records.chunks(QUADS * 3) {
+        let mut len = 0;
+        for triple in block.chunks(3) {
+            let b = [
+                triple[0],
+                triple.get(1).copied().unwrap_or(0),
+                triple.get(2).copied().unwrap_or(0),
+            ];
+            let quad = [
+                BASE64[usize::from(b[0] >> 2)],
+                BASE64[usize::from((b[0] & 0x03) << 4 | b[1] >> 4)],
+                BASE64[usize::from((b[1] & 0x0F) << 2 | b[2] >> 6)],
+                BASE64[usize::from(b[2] & 0x3F)],
+            ];
+            stage[len..len + 4].copy_from_slice(&quad);
+            if triple.len() < 3 {
+                stage[len + 3] = b'=';
+                if triple.len() < 2 {
+                    stage[len + 2] = b'=';
+                }
+            }
+            len += 4;
+        }
+        out.push_str(std::str::from_utf8(&stage[..len]).expect("base64 is ASCII"));
+    }
+}
+
+/// Decodes one packed window — standard padded base64 of whole
+/// `width`-byte records — and appends its bytes to `records`, returning
+/// the number of records.  Strict: characters outside the alphabet,
+/// misplaced or excess padding, non-zero trailing bits, and payloads that
+/// are not whole records are all errors, and on error `records` is left
+/// as it was.
+pub fn decode_window(text: &[u8], width: usize, records: &mut Vec<u8>) -> Result<usize, String> {
+    let start = records.len();
+    let decoded = decode_base64(text, records).and_then(|()| {
+        let bytes = records.len() - start;
+        if width == 0 || !bytes.is_multiple_of(width) {
+            Err(format!(
+                "a packed window of {bytes} bytes is not whole {width}-byte records"
+            ))
+        } else {
+            Ok(bytes / width)
+        }
+    });
+    if decoded.is_err() {
+        records.truncate(start);
+    }
+    decoded
+}
+
+fn decode_base64(text: &[u8], out: &mut Vec<u8>) -> Result<(), String> {
+    if !text.len().is_multiple_of(4) {
+        return Err(format!(
+            "a base64 window of {} characters is not whole 4-character groups",
+            text.len()
+        ));
+    }
+    out.reserve(text.len() / 4 * 3);
+    let groups = text.len() / 4;
+    for (g, quad) in text.chunks_exact(4).enumerate() {
+        let pad = if g + 1 == groups {
+            quad.iter().rev().take_while(|&&c| c == b'=').count()
+        } else {
+            0
+        };
+        if pad > 2 {
+            return Err("a base64 window ends in more than two padding characters".to_string());
+        }
+        let mut sextets = [0u8; 4];
+        for (i, &c) in quad[..4 - pad].iter().enumerate() {
+            let sextet = BASE64_INDEX[usize::from(c)];
+            if sextet == INVALID {
+                return Err(format!(
+                    "byte 0x{c:02x} at offset {} is not base64",
+                    4 * g + i
+                ));
+            }
+            sextets[i] = sextet;
+        }
+        let bytes = [
+            sextets[0] << 2 | sextets[1] >> 4,
+            sextets[1] << 4 | sextets[2] >> 2,
+            sextets[2] << 6 | sextets[3],
+        ];
+        // Canonical form only: the bits a padded group drops must be zero.
+        let stray = match pad {
+            1 => sextets[2] & 0x03,
+            2 => sextets[1] & 0x0F,
+            _ => 0,
+        };
+        if stray != 0 {
+            return Err("a padded base64 group carries non-zero trailing bits".to_string());
+        }
+        out.extend_from_slice(&bytes[..3 - pad]);
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -624,7 +782,7 @@ mod tests {
     use graph_algos::pagerank::pagerank;
     use graph_algos::traversal::bfs_distances;
     use rand::rngs::SmallRng;
-    use rand::{Rng, SeedableRng};
+    use rand::{Rng, RngCore, SeedableRng};
     use uncertain_graph::GraphPartition;
 
     fn toy() -> UncertainGraph {
@@ -959,18 +1117,223 @@ mod tests {
     }
 
     #[test]
-    fn wire_codecs_round_trip() {
+    fn hex_scalars_round_trip() {
         for x in [0.0, -0.0, 1.0, 1.0 / 3.0, f64::MIN_POSITIVE, 1e300] {
             let hex = f64_to_hex(x);
             assert_eq!(f64_from_hex(&hex).unwrap().to_bits(), x.to_bits());
         }
-        let entry = encode_rank(42, 0.125);
-        assert_eq!(decode_rank(&entry).unwrap(), (42, 0.125));
-        assert!(decode_rank("nope").is_err());
-        assert!(decode_rank("3:zz").is_err());
-        let lvl = encode_level(7, 3);
-        assert_eq!(decode_level(&lvl).unwrap(), (7, 3));
-        assert!(decode_level("7").is_err());
-        assert!(decode_level("a:b").is_err());
+        assert!(f64_from_hex("zz").is_err());
+    }
+
+    /// Every bit pattern the kernels can produce, the awkward ones first.
+    fn awkward_f64s() -> Vec<f64> {
+        vec![
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            f64::from_bits(0x7FF0_0000_0000_0001), // signalling NaN payload
+            f64::from_bits(0xFFF8_DEAD_BEEF_0001), // negative quiet NaN payload
+            f64::from_bits(1),                     // smallest subnormal
+            -f64::from_bits(0x000F_FFFF_FFFF_FFFF), // largest subnormal
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            1.0 / 3.0,
+        ]
+    }
+
+    /// Packs, encodes, decodes and unpacks; the window must round-trip bit
+    /// for bit and carry exactly `count` records.
+    fn round_trip(records: &[u8], width: usize, count: usize) -> Vec<u8> {
+        let mut text = String::new();
+        encode_window(records, &mut text);
+        assert!(text
+            .bytes()
+            .all(|c| c.is_ascii_alphanumeric() || b"+/=".contains(&c)));
+        let mut decoded = vec![0xAB]; // decoding appends
+        assert_eq!(
+            decode_window(text.as_bytes(), width, &mut decoded),
+            Ok(count)
+        );
+        assert_eq!(decoded[0], 0xAB);
+        assert_eq!(&decoded[1..], records);
+        decoded.split_off(1)
+    }
+
+    #[test]
+    fn packed_windows_round_trip_bit_for_bit() {
+        // Empty windows of every kind.
+        for width in [RANK_RECORD, LEVEL_RECORD, VALUE_RECORD] {
+            assert!(round_trip(&[], width, 0).is_empty());
+        }
+
+        let values = awkward_f64s();
+        let ids = [0u32, 1, 59_999, u32::MAX];
+
+        let mut ranks = Vec::new();
+        let mut expect_ranks = Vec::new();
+        for (i, &x) in values.iter().enumerate() {
+            let id = ids[i % ids.len()];
+            pack_rank(&mut ranks, id, x);
+            expect_ranks.push((id, x.to_bits()));
+        }
+        assert_eq!(ranks.len(), values.len() * RANK_RECORD);
+        let decoded = round_trip(&ranks, RANK_RECORD, values.len());
+        let got: Vec<(u32, u64)> = unpack_ranks(&decoded)
+            .map(|(id, x)| (id, x.to_bits()))
+            .collect();
+        assert_eq!(got, expect_ranks);
+        // A rank record is exactly 16 characters: windows concatenate.
+        let mut one = Vec::new();
+        pack_rank(&mut one, 7, 0.5);
+        let mut text = String::new();
+        encode_window(&one, &mut text);
+        assert_eq!(text.len(), 16);
+
+        let mut levels = Vec::new();
+        let expect_levels = [
+            (0u32, 0u32),
+            (u32::MAX, 1),
+            (5, u32::MAX),
+            (u32::MAX, u32::MAX),
+        ];
+        for &(id, level) in &expect_levels {
+            pack_level(&mut levels, id, level);
+        }
+        // 4 records of 8 bytes: 32 bytes, one padding character.
+        let decoded = round_trip(&levels, LEVEL_RECORD, expect_levels.len());
+        assert_eq!(unpack_levels(&decoded).collect::<Vec<_>>(), expect_levels);
+
+        // 1, 2 and 3 value records exercise every padding length.
+        for count in 1..=values.len() {
+            let mut packed = Vec::new();
+            for &x in &values[..count] {
+                pack_value(&mut packed, x);
+            }
+            let decoded = round_trip(&packed, VALUE_RECORD, count);
+            let got: Vec<u64> = unpack_values(&decoded).map(f64::to_bits).collect();
+            let want: Vec<u64> = values[..count].iter().map(|x| x.to_bits()).collect();
+            assert_eq!(got, want);
+        }
+    }
+
+    #[test]
+    fn encoding_matches_the_standard_alphabet() {
+        // RFC 4648 test vectors.
+        for (plain, encoded) in [
+            ("", ""),
+            ("f", "Zg=="),
+            ("fo", "Zm8="),
+            ("foo", "Zm9v"),
+            ("foob", "Zm9vYg=="),
+            ("fooba", "Zm9vYmE="),
+            ("foobar", "Zm9vYmFy"),
+        ] {
+            let mut text = String::new();
+            encode_window(plain.as_bytes(), &mut text);
+            assert_eq!(text, encoded);
+            let mut bytes = Vec::new();
+            assert_eq!(
+                decode_window(encoded.as_bytes(), 1, &mut bytes),
+                Ok(plain.len())
+            );
+            assert_eq!(bytes, plain.as_bytes());
+        }
+        // Long windows cross the encoder's staging-buffer boundary.
+        let long: Vec<u8> = (0..=255u8).cycle().take(3 * 1000 + 2).collect();
+        assert_eq!(round_trip(&long, 1, long.len()), long);
+    }
+
+    #[test]
+    fn mutated_windows_are_errors_never_panics() {
+        let mut rng = SmallRng::seed_from_u64(0xBA5E64);
+        let not_base64: &[u8] = b"-_.,:;!?*\"{}[] \t\n\r\x00\x7f\x80\xff";
+        for case in 0..400 {
+            let width = [RANK_RECORD, LEVEL_RECORD, VALUE_RECORD][case % 3];
+            let count = rng.gen_range(1..40usize);
+            let records: Vec<u8> = (0..count * width).map(|_| rng.gen()).collect();
+            let mut text = String::new();
+            encode_window(&records, &mut text);
+            let valid = text.into_bytes();
+            let mut mutant = valid.clone();
+            let what = match case % 6 {
+                0 => {
+                    // Flip a byte out of the alphabet.
+                    let at = rng.gen_range(0..mutant.len());
+                    mutant[at] ^= 0x80;
+                    "byte flip"
+                }
+                1 => {
+                    // Truncate to a length that is not whole groups, or to
+                    // whole groups that are not whole records.
+                    let cut = loop {
+                        let cut = rng.gen_range(1..mutant.len());
+                        if cut % 4 != 0 || (cut / 4 * 3) % width != 0 {
+                            break cut;
+                        }
+                    };
+                    mutant.truncate(cut);
+                    "truncation"
+                }
+                2 => {
+                    // Padding where it cannot be: mid-window, excess, or
+                    // stripped from a padded window.
+                    match rng.gen_range(0..3) {
+                        0 if mutant.len() > 4 => {
+                            let at = rng.gen_range(0..mutant.len() - 4);
+                            mutant[at] = b'=';
+                        }
+                        1 => mutant.extend_from_slice(b"===="),
+                        _ => {
+                            if mutant.ends_with(b"=") {
+                                mutant.pop();
+                            } else {
+                                let last = mutant.len() - 4;
+                                mutant[last] = b'=';
+                            }
+                        }
+                    }
+                    "bad padding"
+                }
+                3 => {
+                    let at = rng.gen_range(0..mutant.len());
+                    mutant[at] = not_base64[rng.gen_range(0..not_base64.len())];
+                    "non-alphabet byte"
+                }
+                4 => {
+                    // Whole base64 groups, but not whole records.
+                    let bytes = count * width + rng.gen_range(1..width);
+                    let odd: Vec<u8> = (0..bytes).map(|_| rng.gen()).collect();
+                    let mut text = String::new();
+                    encode_window(&odd, &mut text);
+                    mutant = text.into_bytes();
+                    "partial record"
+                }
+                _ => {
+                    // Non-zero bits under the padding of the last group.
+                    let mut odd = vec![0u8; 3 * count + 1];
+                    rng.fill_bytes(&mut odd);
+                    let mut text = String::new();
+                    encode_window(&odd, &mut text);
+                    mutant = text.into_bytes();
+                    let last = mutant.len() - 3; // "X=="; its sextet holds 4 dropped bits
+                    let sextet = BASE64_INDEX[usize::from(mutant[last])] | 0x01;
+                    mutant[last] = BASE64[usize::from(sextet)];
+                    "non-canonical padding"
+                }
+            };
+            let mut out = vec![1, 2, 3];
+            let decoded = decode_window(&mutant, width, &mut out);
+            assert!(
+                decoded.is_err(),
+                "case {case}: {what} of a {width}-byte window decoded: {decoded:?}"
+            );
+            assert_eq!(
+                out,
+                [1, 2, 3],
+                "case {case}: a failed decode appends nothing"
+            );
+        }
     }
 }

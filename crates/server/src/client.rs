@@ -19,6 +19,8 @@ pub const MAX_RESPONSE_BYTES: usize = 64 << 20;
 pub struct LineClient {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
+    /// The outgoing line plus its newline, reused across requests.
+    outgoing: Vec<u8>,
     max_line_bytes: usize,
 }
 
@@ -53,6 +55,7 @@ impl LineClient {
         Ok(LineClient {
             reader,
             writer,
+            outgoing: Vec::new(),
             max_line_bytes: MAX_RESPONSE_BYTES,
         })
     }
@@ -80,9 +83,12 @@ impl LineClient {
     /// connection (EOF) — distinct from an error, because graceful shutdown
     /// is *supposed* to close sockets.
     pub fn request_raw(&mut self, line: &str) -> io::Result<Option<String>> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
+        // One buffer, one write: with `TCP_NODELAY` a separate newline
+        // write would be a second segment and a second reader wake-up.
+        self.outgoing.clear();
+        self.outgoing.extend_from_slice(line.as_bytes());
+        self.outgoing.push(b'\n');
+        self.writer.write_all(&self.outgoing)?;
         self.read_line()
     }
 
@@ -102,7 +108,10 @@ impl LineClient {
     pub fn read_line(&mut self) -> io::Result<Option<String>> {
         match read_limited_line(&mut self.reader, self.max_line_bytes)? {
             LineRead::Eof => Ok(None),
-            LineRead::Line(line) => Ok(Some(line.trim_end().to_string())),
+            LineRead::Line(mut line) => {
+                line.truncate(line.trim_end().len());
+                Ok(Some(line))
+            }
             LineRead::Overflow => Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!("response line exceeds {} bytes", self.max_line_bytes),

@@ -12,22 +12,27 @@
 //! which is how the coordinator recovers a world after a mid-superstep
 //! worker loss.
 //!
-//! Values cross the wire as IEEE-754 bit strings
-//! ([`ugs_queries::halo::f64_to_hex`]), so the exchange adds no rounding:
+//! Values cross the wire as packed windows: one base64 string per line of
+//! fixed-width little-endian records carrying raw IEEE-754 bits
+//! ([`ugs_queries::halo::encode_window`]; scalars such as `acc` as
+//! [`ugs_queries::halo::f64_to_hex`]), so the exchange adds no rounding:
 //! the distributed kernels stay bit-identical to the monolithic ones (see
-//! [`ugs_queries::halo`] for the iteration-equivalence argument).
+//! [`ugs_queries::halo`] for the iteration-equivalence argument).  A
+//! session keeps its last step report as raw records, and `page`
+//! re-windows them.
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use graph_algos::pagerank::dangling_mass;
-use minijson::Value;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use ugs_queries::halo::{
-    active_boundary_into, decode_level, decode_rank, encode_level, encode_rank, f64_to_hex,
-    ShardBfs, ShardClustering, ShardPageRank, WorldPresence,
+    active_boundary_into, encode_window, f64_to_hex, pack_level, pack_rank, pack_value,
+    unpack_levels, unpack_ranks, ShardBfs, ShardClustering, ShardPageRank, WorldPresence,
+    LEVEL_RECORD, RANK_RECORD, VALUE_RECORD,
 };
 use ugs_queries::sharded::{ShardScratch, ShardedWorldEngine};
 use ugs_queries::SampleMethod;
@@ -90,8 +95,8 @@ pub(crate) struct HaloSession<'g> {
     /// `sampled - 1` once positive.
     sampled: usize,
     kernel: Kernel,
-    /// Rendered entries of the last superstep's report, kept for `page`.
-    report: Vec<String>,
+    /// The last superstep's report as packed records, kept for `page`.
+    report: Vec<u8>,
 }
 
 impl<'g> HaloSession<'g> {
@@ -136,6 +141,15 @@ impl<'g> HaloSession<'g> {
     /// Whether the session already runs exactly this request's identity.
     fn matches(&self, request: &HaloRequest) -> bool {
         self.seed == request.seed && self.mode == request.mode && self.kernel_id == request.kernel
+    }
+
+    /// Bytes of one record of this kernel's step report.
+    fn report_width(&self) -> usize {
+        match self.kernel {
+            Kernel::PageRank { .. } => RANK_RECORD,
+            Kernel::Bfs { .. } => LEVEL_RECORD,
+            Kernel::Clustering { .. } => VALUE_RECORD,
+        }
     }
 
     /// Whether the kernel has run past its initial state on the current
@@ -213,16 +227,17 @@ impl<'g> HaloSession<'g> {
     fn apply(&mut self, request: &HaloRequest) -> Result<String, RequestError> {
         self.ensure_world(request)?;
         match &request.phase {
-            HaloPhase::Feed { values } => self.feed(request, values),
-            HaloPhase::Step { step, acc, values } => self.step(request, *step, *acc, values),
+            HaloPhase::Feed { ranks } => self.feed(request, ranks),
+            HaloPhase::Step { step, acc, levels } => self.step(request, *step, *acc, levels),
             HaloPhase::Page { from, max } => Ok(self.page_response(request, *from, *max)),
             HaloPhase::Collect { from, max } => self.collect(request, *from, *max),
         }
     }
 
     /// Installs exchanged ghost ranks (global-id addressed) for the next
-    /// PageRank superstep.
-    fn feed(&mut self, request: &HaloRequest, values: &[String]) -> Result<String, RequestError> {
+    /// PageRank superstep.  Every id is checked before any rank lands, so a
+    /// rejected feed leaves the session as it was.
+    fn feed(&mut self, request: &HaloRequest, ranks: &[u8]) -> Result<String, RequestError> {
         let halo = self.engine.halo_plan().shard(self.shard);
         let Kernel::PageRank { state, .. } = &mut self.kernel else {
             return Err((
@@ -233,22 +248,24 @@ impl<'g> HaloSession<'g> {
                 ),
             ));
         };
-        for entry in values {
-            let (gid, rank) = decode_rank(entry).map_err(|error| (ErrorCode::BadRequest, error))?;
+        let is_ghost = |gid: u32| {
             let halo_local = halo.halo_index(gid as usize);
-            if halo_local == NOT_IN_HALO || (halo_local as usize) < halo.owned() {
-                return Err((
-                    ErrorCode::BadRequest,
-                    format!("vertex {gid} is not a ghost of shard {}", self.shard),
-                ));
-            }
-            state.set_halo_rank(halo_local as usize, rank);
+            halo_local != NOT_IN_HALO && (halo_local as usize) >= halo.owned()
+        };
+        if let Some((gid, _)) = unpack_ranks(ranks).find(|&(gid, _)| !is_ghost(gid)) {
+            return Err((
+                ErrorCode::BadRequest,
+                format!("vertex {gid} is not a ghost of shard {}", self.shard),
+            ));
+        }
+        for (gid, rank) in unpack_ranks(ranks) {
+            state.set_halo_rank(halo.halo_index(gid as usize) as usize, rank);
         }
         Ok(finish_ok(
             ok_builder()
                 .field("job", request.job.as_str())
                 .field("world", request.world)
-                .field("fed", values.len()),
+                .field("fed", ranks.len() / RANK_RECORD),
         ))
     }
 
@@ -257,7 +274,7 @@ impl<'g> HaloSession<'g> {
         request: &HaloRequest,
         step: usize,
         acc: Option<f64>,
-        values: &[String],
+        levels: &[u8],
     ) -> Result<String, RequestError> {
         let halo = self.engine.halo_plan().shard(self.shard);
         let n = self.engine.graph().num_vertices();
@@ -283,7 +300,7 @@ impl<'g> HaloSession<'g> {
                             .to_string(),
                     ));
                 };
-                if !values.is_empty() {
+                if !levels.is_empty() {
                     return Err((
                         ErrorCode::BadRequest,
                         "a pagerank step carries no settlements; exchange ranks via feed"
@@ -301,16 +318,20 @@ impl<'g> HaloSession<'g> {
                 self.report.clear();
                 for &gv in active.iter() {
                     let local = halo.halo_index(gv) as usize;
-                    self.report
-                        .push(encode_rank(gv as u32, state.owned_ranks()[local]));
+                    pack_rank(&mut self.report, gv as u32, state.owned_ranks()[local]);
                 }
-                let mut builder = ok_builder()
+                let builder = ok_builder()
                     .field("job", request.job.as_str())
                     .field("world", request.world)
                     .field("step", step)
                     .field("acc", f64_to_hex(acc_out));
-                builder = page_fields(builder, &self.report, 0, HALO_PAGE);
-                Ok(finish_ok(builder))
+                Ok(finish_ok(report_window(
+                    builder,
+                    &self.report,
+                    RANK_RECORD,
+                    0,
+                    HALO_PAGE,
+                )))
             }
             Kernel::Bfs {
                 state, step: at, ..
@@ -328,20 +349,21 @@ impl<'g> HaloSession<'g> {
                             .to_string(),
                     ));
                 }
-                for entry in values {
-                    let (gid, level) =
-                        decode_level(entry).map_err(|error| (ErrorCode::BadRequest, error))?;
+                let is_owned = |gid: u32| {
                     let halo_local = halo.halo_index(gid as usize);
-                    if halo_local == NOT_IN_HALO || (halo_local as usize) >= halo.owned() {
-                        return Err((
-                            ErrorCode::BadRequest,
-                            format!(
-                                "vertex {gid} is not owned by shard {}; settlements route to owners",
-                                self.shard
-                            ),
-                        ));
-                    }
-                    state.absorb(halo_local, level);
+                    halo_local != NOT_IN_HALO && (halo_local as usize) < halo.owned()
+                };
+                if let Some((gid, _)) = unpack_levels(levels).find(|&(gid, _)| !is_owned(gid)) {
+                    return Err((
+                        ErrorCode::BadRequest,
+                        format!(
+                            "vertex {gid} is not owned by shard {}; settlements route to owners",
+                            self.shard
+                        ),
+                    ));
+                }
+                for (gid, level) in unpack_levels(levels) {
+                    state.absorb(halo.halo_index(gid as usize), level);
                 }
                 let mut settled: Vec<(u32, u32)> = Vec::new();
                 state.expand(halo, &self.presence, step as u32, &mut settled);
@@ -355,14 +377,19 @@ impl<'g> HaloSession<'g> {
                     } else {
                         halo.ghosts()[halo_local as usize - halo.owned()] as u32
                     };
-                    self.report.push(encode_level(gid, level));
+                    pack_level(&mut self.report, gid, level);
                 }
-                let mut builder = ok_builder()
+                let builder = ok_builder()
                     .field("job", request.job.as_str())
                     .field("world", request.world)
                     .field("step", step);
-                builder = page_fields(builder, &self.report, 0, HALO_PAGE);
-                Ok(finish_ok(builder))
+                Ok(finish_ok(report_window(
+                    builder,
+                    &self.report,
+                    LEVEL_RECORD,
+                    0,
+                    HALO_PAGE,
+                )))
             }
             Kernel::Clustering { .. } => Err((
                 ErrorCode::BadRequest,
@@ -371,13 +398,18 @@ impl<'g> HaloSession<'g> {
         }
     }
 
-    /// Re-reads a page of the last superstep's report (idempotent).
+    /// Re-reads a window of the last superstep's report (idempotent).
     fn page_response(&self, request: &HaloRequest, from: usize, max: usize) -> String {
-        let mut builder = ok_builder()
+        let builder = ok_builder()
             .field("job", request.job.as_str())
             .field("world", request.world);
-        builder = page_fields(builder, &self.report, from, max);
-        finish_ok(builder)
+        finish_ok(report_window(
+            builder,
+            &self.report,
+            self.report_width(),
+            from,
+            max,
+        ))
     }
 
     /// Pages the owned final values of the current world.
@@ -389,17 +421,14 @@ impl<'g> HaloSession<'g> {
     ) -> Result<String, RequestError> {
         let halo = self.engine.halo_plan().shard(self.shard);
         let presence = &self.presence;
-        let owned: Vec<String> = match &mut self.kernel {
-            Kernel::PageRank { state, .. } => {
-                state.owned_ranks().iter().map(|&r| f64_to_hex(r)).collect()
-            }
+        let owned: &[f64] = match &mut self.kernel {
+            Kernel::PageRank { state, .. } => state.owned_ranks(),
             Kernel::Clustering {
                 state,
                 coefficients,
             } => {
                 // One-shot halo materialisation on the first collect.
-                let cc = coefficients.get_or_insert_with(|| state.run(halo, presence).to_vec());
-                cc.iter().map(|&c| f64_to_hex(c)).collect()
+                coefficients.get_or_insert_with(|| state.run(halo, presence).to_vec())
             }
             Kernel::Bfs { .. } => {
                 return Err((
@@ -409,31 +438,60 @@ impl<'g> HaloSession<'g> {
                 ))
             }
         };
-        let mut builder = ok_builder()
+        let window = window(owned.len(), from, max);
+        let mut records = Vec::with_capacity(window.len() * VALUE_RECORD);
+        for &value in &owned[window] {
+            pack_value(&mut records, value);
+        }
+        let builder = ok_builder()
             .field("job", request.job.as_str())
             .field("world", request.world);
-        builder = page_fields(builder, &owned, from, max);
-        Ok(finish_ok(builder))
+        Ok(finish_ok(window_fields(
+            builder,
+            from,
+            owned.len(),
+            &records,
+        )))
     }
 }
 
-/// Appends the standard paging fields: the requested window of `entries`
-/// plus the total count (so the reader knows whether to page on).
-fn page_fields(
+/// The records `from..` of a `total`-record report that one window of at
+/// most `max` records (at least one) carries; empty past the end.
+fn window(total: usize, from: usize, max: usize) -> Range<usize> {
+    let end = from.saturating_add(max.max(1)).min(total);
+    from.min(end)..end
+}
+
+/// Appends the paging fields of the requested window of `report` (whole
+/// `width`-byte records).
+fn report_window(
     builder: minijson::ObjBuilder,
-    entries: &[String],
+    report: &[u8],
+    width: usize,
     from: usize,
     max: usize,
 ) -> minijson::ObjBuilder {
-    let end = from.saturating_add(max.max(1)).min(entries.len());
-    let window = entries.get(from..end).unwrap_or(&[]);
+    let total = report.len() / width;
+    let window = window(total, from, max);
+    let records = &report[window.start * width..window.end * width];
+    window_fields(builder, from, total, records)
+}
+
+/// Appends the standard paging fields: the cursor, the report's total
+/// record count (so the reader knows whether to page on), and the window's
+/// `records` as one packed string.
+fn window_fields(
+    builder: minijson::ObjBuilder,
+    from: usize,
+    total: usize,
+    records: &[u8],
+) -> minijson::ObjBuilder {
+    let mut values = String::new();
+    encode_window(records, &mut values);
     builder
         .field("from", from)
-        .field("total", entries.len())
-        .field(
-            "values",
-            Value::Arr(window.iter().cloned().map(Value::Str).collect()),
-        )
+        .field("total", total)
+        .field("values", values)
 }
 
 /// Dispatches one `halo` request against the connection's session map.

@@ -25,10 +25,10 @@
 //! | `{"op": "shard_submit", "job": "t", "shard": K, "shards": W, "worlds": N, "seed": "S", "mode": "skip"}` | `{"status": "ok", "job": "t", "accepted": true, "pos": P, "target": N}` (worker mode only) |
 //! | `{"op": "boundary", "job": "t", "from": F, "max": M}` | `{"status": "ok", "job": "t", "from": F, "records": ["…", …], "pos": P, "target": N}` |
 //! | `{"op": "shard_result", "job": "t"}` | `{"status": "ok", "job": "t", "done": false, "pos": P, "target": N}` or `{"status": "ok", "job": "t", "done": true, "worlds": N, "hist": […], "intra": […]}` |
-//! | `{"op": "halo", "job": "t", "shard": K, "shards": W, "seed": "S", "mode": "skip", "kernel": {…}, "world": N, "phase": "feed", "values": ["gid:hex", …]}` | `{"status": "ok", "job": "t", "world": N, "fed": F}` (worker mode only) |
-//! | `{"op": "halo", …, "phase": "step", "step": T, "acc": "hex", "values": […]}` | `{"status": "ok", "job": "t", "world": N, "step": T, ("acc": "hex",) "from": 0, "total": C, "values": […]}` |
-//! | `{"op": "halo", …, "phase": "page", "from": F, "max": M}` | `{"status": "ok", "job": "t", "world": N, "from": F, "total": C, "values": […]}` |
-//! | `{"op": "halo", …, "phase": "collect", "from": F, "max": M}` | `{"status": "ok", "job": "t", "world": N, "from": F, "total": C, "values": […]}` |
+//! | `{"op": "halo", "job": "t", "shard": K, "shards": W, "seed": "S", "mode": "skip", "kernel": {…}, "world": N, "phase": "feed", "values": "<base64 rank records>"}` | `{"status": "ok", "job": "t", "world": N, "fed": F}` (worker mode only) |
+//! | `{"op": "halo", …, "phase": "step", "step": T, "acc": "hex", "values": "<base64 level records>"}` | `{"status": "ok", "job": "t", "world": N, "step": T, ("acc": "hex",) "from": 0, "total": C, "values": "<base64>"}` |
+//! | `{"op": "halo", …, "phase": "page", "from": F, "max": M}` | `{"status": "ok", "job": "t", "world": N, "from": F, "total": C, "values": "<base64>"}` |
+//! | `{"op": "halo", …, "phase": "collect", "from": F, "max": M}` | `{"status": "ok", "job": "t", "world": N, "from": F, "total": C, "values": "<base64 value records>"}` |
 //!
 //! The `plan` document is a [`ugs_service::QueryPlan`] **without** a
 //! `graph` field (the server owns its graph): `worlds`, `threads`,
@@ -72,21 +72,34 @@
 //! "source": V}`) — so a freshly promoted standby rebuilds the session
 //! from whatever line arrives first, replaying the shared world stream up
 //! to the named `world`.  A world then runs as supersteps: `feed` installs
-//! exchanged ghost ranks (`"gid:hex"` entries), `step T` runs one
-//! superstep (PageRank threads the convergence accumulator `acc` through
-//! shards and reports the ranks of its *active* boundary — the owned
-//! vertices with at least one edge to a ghost that is present in the
-//! world, the only ranks another shard reads — with `total` counting that
-//! list; BFS absorbs routed `"gid:level"` settlements and reports the
-//! newly settled vertices).  A step answers its first
-//! [`protocol::HALO_PAGE`] entries inline, `page` re-reads a step report
-//! window idempotently, and `collect` pages the owned final
+//! exchanged ghost ranks, `step T` runs one superstep (PageRank threads
+//! the convergence accumulator `acc` through shards and reports the ranks
+//! of its *active* boundary — the owned vertices with at least one edge to
+//! a ghost that is present in the world, the only ranks another shard
+//! reads — with `total` counting that list; BFS absorbs routed
+//! settlements and reports the newly settled vertices).  A step answers
+//! its first [`protocol::HALO_PAGE`] records inline, `page` re-reads a
+//! step report window idempotently, and `collect` pages the owned final
 //! values (for clustering, `collect` triggers the one-shot halo
-//! computation).  **`step 0` on the current world restarts its kernel
-//! without resampling** — the coordinator's recovery move after a
-//! mid-superstep worker loss.  All values cross the wire as f64 bit
-//! patterns, so distributed results stay bit-identical to the monolithic
-//! engine.  Sessions are plain connection-local data bounded by the same
+//! computation); `page` and `collect` default to a `HALO_PAGE` window.
+//!
+//! Bulk values travel as **packed windows**: `values` is one string, the
+//! standard padded base64 of fixed-width little-endian records — a rank is
+//! a `u32` global id plus the `f64` bits as `u64` (12 bytes, 16
+//! characters), a BFS settlement a `u32` id plus a `u32` level (8 bytes),
+//! a collected value the `f64` bits alone (8 bytes, in owned-vertex
+//! order).  `from`, `max` and `total` count records.  Base64 keeps the
+//! line free of newlines and escapes, so the packed values ride the same
+//! line framing as every other op.  A worker rejects bad base64, a window
+//! that is not whole records, the retired array form, a fed id that is not
+//! its ghost and a settlement for a vertex it does not own, each with a
+//! typed `bad_request` that leaves the session as it was.
+//!
+//! **`step 0` on the current world restarts its kernel without
+//! resampling** — the coordinator's recovery move after a mid-superstep
+//! worker loss.  All values cross the wire as f64 bit patterns, so
+//! distributed results stay bit-identical to the monolithic engine.
+//! Sessions are plain connection-local data bounded by the same
 //! [`ServerConfig::max_inflight`] budget and die with their connection.
 //!
 //! ## Coordinator failure model

@@ -11,7 +11,7 @@ use std::io::{self, BufRead};
 pub(crate) enum LineRead {
     /// The peer closed the stream before any byte of a new line.
     Eof,
-    /// One complete line (newline stripped, lossily decoded).
+    /// One complete line (newline stripped; invalid UTF-8 decoded lossily).
     Line(String),
     /// The line exceeded the cap.  Its bytes up to and including the
     /// terminating newline have been consumed, so the next read starts on
@@ -32,7 +32,7 @@ pub(crate) fn read_limited_line(reader: &mut impl BufRead, cap: usize) -> io::Re
             return Ok(if buffer.is_empty() {
                 LineRead::Eof
             } else {
-                LineRead::Line(String::from_utf8_lossy(&buffer).into_owned())
+                LineRead::Line(into_text(buffer))
             });
         }
         match chunk.iter().position(|&byte| byte == b'\n') {
@@ -43,9 +43,7 @@ pub(crate) fn read_limited_line(reader: &mut impl BufRead, cap: usize) -> io::Re
                 }
                 buffer.extend_from_slice(&chunk[..newline]);
                 reader.consume(newline + 1);
-                return Ok(LineRead::Line(
-                    String::from_utf8_lossy(&buffer).into_owned(),
-                ));
+                return Ok(LineRead::Line(into_text(buffer)));
             }
             None => {
                 let taken = chunk.len();
@@ -61,6 +59,13 @@ pub(crate) fn read_limited_line(reader: &mut impl BufRead, cap: usize) -> io::Re
             }
         }
     }
+}
+
+/// The line's bytes as text without a copy, unless they are not UTF-8:
+/// then lossily, as before.
+fn into_text(buffer: Vec<u8>) -> String {
+    String::from_utf8(buffer)
+        .unwrap_or_else(|invalid| String::from_utf8_lossy(invalid.as_bytes()).into_owned())
 }
 
 /// Consumes bytes until a newline has been eaten (or EOF).
@@ -134,6 +139,18 @@ mod tests {
         assert_eq!(
             read_all(b"123456789123", 8),
             vec![LineRead::Overflow, LineRead::Eof]
+        );
+    }
+
+    #[test]
+    fn lines_decode_utf8_and_invalid_bytes_lossily() {
+        assert_eq!(
+            read_all("é😀\n".as_bytes(), 16),
+            vec![LineRead::Line("é😀".to_string()), LineRead::Eof]
+        );
+        assert_eq!(
+            read_all(b"a\xffb\n", 16),
+            vec![LineRead::Line("a\u{fffd}b".to_string()), LineRead::Eof]
         );
     }
 

@@ -7,7 +7,7 @@
 //! the connection.
 
 use minijson::{ObjBuilder, Value};
-use ugs_queries::halo::f64_from_hex;
+use ugs_queries::halo::{decode_window, f64_from_hex, LEVEL_RECORD, RANK_RECORD};
 use ugs_queries::SampleMethod;
 use ugs_service::{parse_mode, QueryPlan};
 
@@ -182,41 +182,49 @@ impl HaloKernel {
 
 /// The phase of one `halo` interaction.  A world runs as: optional `feed`
 /// lines installing exchanged ghost values, `step` lines running supersteps
-/// (paged via `page` when a report overflows one line), and `collect` lines
-/// paging the owned final values.
+/// (paged via `page` when a report overflows one window), and `collect`
+/// lines paging the owned final values.
+///
+/// Bulk values travel as one **packed window** per line: a JSON string
+/// field `values` holding the standard base64 of fixed-width
+/// little-endian records ([`ugs_queries::halo::encode_window`]).  Parsing
+/// decodes it once, rejecting bad base64 and payloads that are not whole
+/// records, so the phases below carry checked record bytes; the retired
+/// array-of-strings form is a typed `bad_request`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum HaloPhase {
-    /// `{"phase": "feed", "values": ["gid:hex", ...]}` — install exchanged
-    /// ghost ranks (global-id addressed) for the upcoming superstep.
+    /// `{"phase": "feed", "values": "<base64>"}` — install exchanged ghost
+    /// ranks (global-id addressed) for the upcoming superstep.
     Feed {
-        /// `id:value` entries ([`ugs_queries::halo::encode_rank`] form).
-        values: Vec<String>,
+        /// Whole [`RANK_RECORD`] records: `u32` id, `f64` bits.
+        ranks: Vec<u8>,
     },
-    /// `{"phase": "step", "step": T, "acc": "hex", "values": [...]}` — run
-    /// superstep `T`.  PageRank threads the convergence accumulator `acc`
-    /// through shards; BFS carries routed settlements in `values`.
+    /// `{"phase": "step", "step": T, "acc": "hex", "values": "<base64>"}` —
+    /// run superstep `T`.  PageRank threads the convergence accumulator
+    /// `acc` through shards; BFS carries routed settlements in `values`.
     Step {
         /// Superstep index (step 0 (re-)initialises the world's kernel).
         step: usize,
         /// PageRank delta accumulator chained from lower shards.
         acc: Option<f64>,
-        /// BFS settlements routed to this shard (`id:level` entries).
-        values: Vec<String>,
+        /// BFS settlements routed to this shard: whole [`LEVEL_RECORD`]
+        /// records (`u32` id, `u32` level).
+        levels: Vec<u8>,
     },
-    /// `{"phase": "page", "from": F, "max": M}` — re-read a page of the
+    /// `{"phase": "page", "from": F, "max": M}` — re-read a window of the
     /// last step's report (idempotent).
     Page {
-        /// First entry requested.
+        /// First record requested.
         from: usize,
-        /// Maximum entries to return.
+        /// Maximum records to return ([`HALO_PAGE`] when absent).
         max: usize,
     },
     /// `{"phase": "collect", "from": F, "max": M}` — page the owned final
     /// values of the current world (triggers the compute for clustering).
     Collect {
-        /// First entry requested.
+        /// First record requested.
         from: usize,
-        /// Maximum entries to return.
+        /// Maximum records to return ([`HALO_PAGE`] when absent).
         max: usize,
     },
 }
@@ -286,11 +294,15 @@ fn check_fields(value: &Value, allowed: &[&str], what: &str) -> Result<(), Reque
 /// Records returned by a `boundary` read when the request names no `max`.
 pub const DEFAULT_BOUNDARY_PAGE: usize = 512;
 
-/// Entries in the first window of a `halo` step report, and the window a
-/// coordinator asks for when it pages a step report or a `collect`.  At
-/// ~26 bytes per `"gid:hex"` entry a full window is ~0.9 MB, so one line
-/// carries the whole report of a 60k-vertex graph's shard while staying
-/// far below the client's response-line cap.
+/// Records in one packed `halo` window, in both directions: the first
+/// window of a step report, the window a `page` or `collect` returns when
+/// the request names no `max`, the window a coordinator asks for, and the
+/// most records a coordinator puts in one `feed` line.  The widest record
+/// (a rank, 12 bytes) is 16 base64 characters, so a full window is
+/// 512 KiB: a feed line stays inside the worker's [`MAX_LINE_BYTES`]
+/// request cap with room for the session identity, a response stays far
+/// below the client's response-line cap, and one window carries the whole
+/// active boundary of a 60k-vertex graph's shard.
 pub const HALO_PAGE: usize = 32_768;
 
 fn job_token(value: &Value) -> Result<String, RequestError> {
@@ -324,30 +336,30 @@ fn job_id(value: &Value) -> Result<u64, RequestError> {
 fn page_window(value: &Value) -> Result<(usize, usize), RequestError> {
     let from = required_usize(value, "from")?;
     let max = match value.get("max") {
-        None => DEFAULT_BOUNDARY_PAGE,
+        None => HALO_PAGE,
         Some(_) => required_usize(value, "max")?,
     };
     Ok((from, max))
 }
 
-fn string_array(value: &Value, field: &str) -> Result<Vec<String>, RequestError> {
-    let Some(entries) = value.get(field) else {
-        return Ok(Vec::new());
-    };
-    entries
-        .as_array()
-        .and_then(|items| {
-            items
-                .iter()
-                .map(|item| item.as_str().map(str::to_string))
-                .collect::<Option<Vec<String>>>()
-        })
-        .ok_or_else(|| {
-            (
+/// Decodes the packed window in `field` (absent: no records) into whole
+/// `width`-byte records.
+fn packed_records(value: &Value, field: &str, width: usize) -> Result<Vec<u8>, RequestError> {
+    let mut records = Vec::new();
+    match value.get(field) {
+        None => {}
+        Some(Value::Str(text)) => {
+            decode_window(text.as_bytes(), width, &mut records)
+                .map_err(|error| (ErrorCode::BadRequest, format!("field {field:?}: {error}")))?;
+        }
+        Some(_) => {
+            return Err((
                 ErrorCode::BadRequest,
-                format!("field {field:?} must be an array of strings"),
-            )
-        })
+                format!("field {field:?} must be a base64 string of packed {width}-byte records"),
+            ))
+        }
+    }
+    Ok(records)
 }
 
 fn wire_seed(value: &Value) -> Result<u64, RequestError> {
@@ -446,7 +458,7 @@ fn halo_request(value: &Value) -> Result<Request, RequestError> {
     check_fields(value, &allowed, what)?;
     let phase = match phase_name {
         "feed" => HaloPhase::Feed {
-            values: string_array(value, "values")?,
+            ranks: packed_records(value, "values", RANK_RECORD)?,
         },
         "step" => {
             let acc = match value.get_str("acc") {
@@ -461,7 +473,7 @@ fn halo_request(value: &Value) -> Result<Request, RequestError> {
             HaloPhase::Step {
                 step: required_usize(value, "step")?,
                 acc,
-                values: string_array(value, "values")?,
+                levels: packed_records(value, "values", LEVEL_RECORD)?,
             }
         }
         "page" => {
@@ -742,6 +754,14 @@ mod tests {
         }
     }
 
+    fn packed_levels(levels: &[(u32, u32)]) -> Vec<u8> {
+        let mut records = Vec::new();
+        for &(id, level) in levels {
+            ugs_queries::halo::pack_level(&mut records, id, level);
+        }
+        records
+    }
+
     #[test]
     fn halo_requests_parse_with_typed_kernels_and_phases() {
         let step = parse_request(concat!(
@@ -767,7 +787,7 @@ mod tests {
                     HaloPhase::Step {
                         step: 0,
                         acc: Some(0.0),
-                        values: Vec::new(),
+                        levels: Vec::new(),
                     }
                 );
             }
@@ -776,7 +796,7 @@ mod tests {
         let feed = parse_request(concat!(
             r#"{"op": "halo", "job": "h0", "shard": 0, "shards": 2, "seed": "9","#,
             r#" "mode": "auto", "kernel": {"type": "bfs", "source": 3}, "world": 0,"#,
-            r#" "phase": "step", "step": 2, "values": ["5:1", "7:2"]}"#,
+            r#" "phase": "step", "step": 2, "values": "BQAAAAEAAAAHAAAAAgAAAA=="}"#,
         ))
         .unwrap();
         match feed {
@@ -787,7 +807,7 @@ mod tests {
                     HaloPhase::Step {
                         step: 2,
                         acc: None,
-                        values: vec!["5:1".to_string(), "7:2".to_string()],
+                        levels: packed_levels(&[(5, 1), (7, 2)]),
                     }
                 );
             }
@@ -806,7 +826,7 @@ mod tests {
                     request.phase,
                     HaloPhase::Collect {
                         from: 0,
-                        max: DEFAULT_BOUNDARY_PAGE,
+                        max: HALO_PAGE,
                     }
                 );
             }
@@ -843,7 +863,7 @@ mod tests {
                 r#" "kernel": {"type": "pagerank", "damping": "0.85"}, "world": 0,"#,
                 r#" "phase": "step", "step": 0}"#,
             ),
-            // A numeric seed, a missing world, a non-string values entry.
+            // A numeric seed, a missing world, a non-string values field.
             concat!(
                 r#"{"op": "halo", "job": "h", "shard": 0, "shards": 1, "seed": 1,"#,
                 r#" "kernel": {"type": "clustering"}, "world": 0, "phase": "collect", "from": 0}"#,
@@ -856,6 +876,29 @@ mod tests {
                 r#"{"op": "halo", "job": "h", "shard": 0, "shards": 1, "seed": "1","#,
                 r#" "kernel": {"type": "bfs", "source": 0}, "world": 0, "phase": "step","#,
                 r#" "step": 0, "values": [5]}"#,
+            ),
+            // The retired array-of-strings form, bad base64, and a window
+            // that is not whole records (a 12-byte rank record on a BFS
+            // step, a 9-byte feed).
+            concat!(
+                r#"{"op": "halo", "job": "h", "shard": 0, "shards": 1, "seed": "1","#,
+                r#" "kernel": {"type": "pagerank", "damping": "3feb333333333333"}, "world": 0,"#,
+                r#" "phase": "feed", "values": ["3:3fe0000000000000"]}"#,
+            ),
+            concat!(
+                r#"{"op": "halo", "job": "h", "shard": 0, "shards": 1, "seed": "1","#,
+                r#" "kernel": {"type": "bfs", "source": 0}, "world": 0, "phase": "step","#,
+                r#" "step": 0, "values": "BQAA-AEAAAA="}"#,
+            ),
+            concat!(
+                r#"{"op": "halo", "job": "h", "shard": 0, "shards": 1, "seed": "1","#,
+                r#" "kernel": {"type": "bfs", "source": 0}, "world": 0, "phase": "step","#,
+                r#" "step": 0, "values": "AwAAAAAAAAAAAOA/"}"#,
+            ),
+            concat!(
+                r#"{"op": "halo", "job": "h", "shard": 0, "shards": 1, "seed": "1","#,
+                r#" "kernel": {"type": "pagerank", "damping": "3feb333333333333"}, "world": 0,"#,
+                r#" "phase": "feed", "values": "AwAAAAAAAAAA"}"#,
             ),
         ];
         for line in cases {

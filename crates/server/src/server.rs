@@ -406,6 +406,14 @@ fn executor_loop(shared: &Arc<Shared>, job_rx: &Mutex<Receiver<ExecJob>>, slot: 
     }
 }
 
+/// Writes one response line and its newline as a single buffer: with
+/// `TCP_NODELAY` two writes would be two segments and a second wake-up of
+/// the reader.
+fn send_line(writer: &mut TcpStream, mut response: String) -> std::io::Result<()> {
+    response.push('\n');
+    writer.write_all(response.as_bytes())
+}
+
 /// One client connection: read a line, answer a line, forever; every
 /// failure is a typed error response and the loop continues.
 fn handle_connection(stream: TcpStream, shared: &Arc<Shared>, job_tx: &SyncSender<ExecJob>) {
@@ -430,10 +438,7 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>, job_tx: &SyncSende
                     ErrorCode::BadRequest,
                     &format!("request line exceeds {cap} bytes"),
                 );
-                if writeln!(writer, "{response}")
-                    .and_then(|_| writer.flush())
-                    .is_err()
-                {
+                if send_line(&mut writer, response).is_err() {
                     break;
                 }
                 continue;
@@ -472,7 +477,7 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>, job_tx: &SyncSende
         if garble {
             response = format!("#!garbled<{response}");
         }
-        let written = writeln!(writer, "{response}").and_then(|_| writer.flush());
+        let written = send_line(&mut writer, response);
         if stop_after {
             // Flip the flag only *after* the acknowledgement is on the wire,
             // so the listener cannot close this socket under the response.

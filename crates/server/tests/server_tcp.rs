@@ -528,6 +528,20 @@ fn a_seeded_fault_plan_misbehaves_deterministically_over_the_wire() {
     server.shutdown();
 }
 
+/// The packed `values` string of a window of records.
+fn pack(records: &[u8]) -> String {
+    let mut text = String::new();
+    ugs_queries::halo::encode_window(records, &mut text);
+    text
+}
+
+/// The records of a packed `values` string of `width`-byte records.
+fn unpack(text: &str, width: usize) -> Vec<u8> {
+    let mut records = Vec::new();
+    ugs_queries::halo::decode_window(text.as_bytes(), width, &mut records).unwrap();
+    records
+}
+
 /// Drives the `halo` wire op exactly like the distributed coordinator
 /// would — over real loopback sockets against two shard workers — and
 /// checks every kernel against the monolithic engine, bit for bit.
@@ -539,7 +553,10 @@ fn halo_sessions_reproduce_monolithic_kernels_over_loopback_workers() {
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
     use ugs_queries::engine::WorldEngine;
-    use ugs_queries::halo::{decode_level, decode_rank, f64_from_hex, f64_to_hex};
+    use ugs_queries::halo::{
+        f64_from_hex, f64_to_hex, pack_level, pack_rank, unpack_levels, unpack_ranks,
+        unpack_values, LEVEL_RECORD, RANK_RECORD, VALUE_RECORD,
+    };
     use ugs_queries::SampleMethod;
     use uncertain_graph::{GraphPartition, HaloPlan};
 
@@ -583,14 +600,15 @@ fn halo_sessions_reproduce_monolithic_kernels_over_loopback_workers() {
         );
         response
     };
-    let entries = |response: &Value| -> Vec<String> {
+    let records = |response: &Value, width: usize| -> Vec<u8> {
         let total = response.get_usize("total").unwrap();
-        let values = response.get("values").unwrap().as_array().unwrap();
-        assert_eq!(values.len(), total, "small reports fit one page here");
-        values
-            .iter()
-            .map(|v| v.as_str().unwrap().to_string())
-            .collect()
+        let records = unpack(response.get_str("values").unwrap(), width);
+        assert_eq!(
+            records.len(),
+            total * width,
+            "small reports fit one page here"
+        );
+        records
     };
 
     // One coordinator-side pagerank world: supersteps with a chained delta
@@ -601,24 +619,15 @@ fn halo_sessions_reproduce_monolithic_kernels_over_loopback_workers() {
         for step in 0..config.max_iterations {
             if step > 0 {
                 for shard in 0..2 {
-                    let ghosts: Vec<String> = plan
-                        .shard(shard)
-                        .ghosts()
-                        .iter()
-                        .map(|&gv| format!("{gv}:{}", f64_to_hex(board[gv])))
-                        .collect();
+                    let mut ghosts = Vec::new();
+                    for &gv in plan.shard(shard).ghosts() {
+                        pack_rank(&mut ghosts, gv as u32, board[gv]);
+                    }
                     let line = halo_line(
                         shard,
                         "pagerank",
                         world,
-                        &format!(
-                            r#""phase": "feed", "values": [{}]"#,
-                            ghosts
-                                .iter()
-                                .map(|e| format!("{e:?}"))
-                                .collect::<Vec<_>>()
-                                .join(", ")
-                        ),
+                        &format!(r#""phase": "feed", "values": "{}""#, pack(&ghosts)),
                     );
                     ok(clients, shard, &line);
                 }
@@ -636,8 +645,7 @@ fn halo_sessions_reproduce_monolithic_kernels_over_loopback_workers() {
                 );
                 let response = ok(clients, shard, &line);
                 acc = f64_from_hex(response.get_str("acc").unwrap()).unwrap();
-                for entry in entries(&response) {
-                    let (gid, rank) = decode_rank(&entry).unwrap();
+                for (gid, rank) in unpack_ranks(&records(&response, RANK_RECORD)) {
                     board[gid as usize] = rank;
                 }
             }
@@ -649,9 +657,10 @@ fn halo_sessions_reproduce_monolithic_kernels_over_loopback_workers() {
         for shard in 0..2 {
             let line = halo_line(shard, "pagerank", world, r#""phase": "collect", "from": 0"#);
             let response = ok(clients, shard, &line);
-            for (local, entry) in entries(&response).into_iter().enumerate() {
+            let collected = records(&response, VALUE_RECORD);
+            for (local, value) in unpack_values(&collected).enumerate() {
                 let global = partition.shard(shard).vertices()[local];
-                ranks[global] = f64_from_hex(&entry).unwrap();
+                ranks[global] = value;
             }
         }
         ranks
@@ -689,9 +698,10 @@ fn halo_sessions_reproduce_monolithic_kernels_over_loopback_workers() {
                 r#""phase": "collect", "from": 0"#,
             );
             let response = ok(&mut clients, shard, &line);
-            for (local, entry) in entries(&response).into_iter().enumerate() {
+            let collected = records(&response, VALUE_RECORD);
+            for (local, value) in unpack_values(&collected).enumerate() {
                 let global = partition.shard(shard).vertices()[local];
-                got[global] = f64_from_hex(&entry).unwrap();
+                got[global] = value;
             }
         }
         for (v, (a, b)) in got.iter().zip(expected.iter()).enumerate() {
@@ -709,23 +719,23 @@ fn halo_sessions_reproduce_monolithic_kernels_over_loopback_workers() {
         for level in 0..6 {
             let mut next: Vec<(u32, u32)> = Vec::new();
             for shard in 0..2 {
-                let routed: Vec<String> = settlements
-                    .iter()
-                    .filter(|&&(v, _)| partition.shard_of(v as usize) == shard)
-                    .map(|&(v, l)| format!("\"{v}:{l}\""))
-                    .collect();
+                let mut routed = Vec::new();
+                for &(v, l) in &settlements {
+                    if partition.shard_of(v as usize) == shard {
+                        pack_level(&mut routed, v, l);
+                    }
+                }
                 let line = halo_line(
                     shard,
                     &kernel,
                     world,
                     &format!(
-                        r#""phase": "step", "step": {level}, "values": [{}]"#,
-                        routed.join(", ")
+                        r#""phase": "step", "step": {level}, "values": "{}""#,
+                        pack(&routed)
                     ),
                 );
                 let response = ok(&mut clients, shard, &line);
-                for entry in entries(&response) {
-                    let (gid, lvl) = decode_level(&entry).unwrap();
+                for (gid, lvl) in unpack_levels(&records(&response, LEVEL_RECORD)) {
                     if dist[gid as usize] == u32::MAX {
                         dist[gid as usize] = lvl;
                         next.push((gid, lvl));
@@ -755,4 +765,212 @@ fn halo_sessions_reproduce_monolithic_kernels_over_loopback_workers() {
     for worker in workers {
         worker.shutdown();
     }
+}
+
+/// One `halo` line against shard `shard` of 2 over [`toy_graph`].
+fn toy_halo_line(shard: usize, kernel: &str, world: usize, tail: &str) -> String {
+    format!(
+        r#"{{"op": "halo", "job": "t", "shard": {shard}, "shards": 2, "seed": "7", "mode": "skip", "kernel": {kernel}, "world": {world}, {tail}}}"#,
+    )
+}
+
+const PAGERANK_KERNEL: &str = r#"{"type": "pagerank", "damping": "3feb333333333333"}"#;
+const BFS_KERNEL: &str = r#"{"type": "bfs", "source": 0}"#;
+
+#[test]
+fn malformed_packed_halo_windows_get_typed_errors_and_the_session_survives() {
+    use ugs_queries::halo::{pack_level, pack_rank};
+
+    let worker = start(ServerConfig {
+        shard: Some((0, 2)),
+        ..ServerConfig::default()
+    });
+    let mut c = client(&worker);
+    let expect_bad = |c: &mut LineClient, line: &str| {
+        let response = c.request(line).unwrap();
+        assert_eq!(response.get_str("status"), Some("error"), "{line}");
+        assert_eq!(
+            response.get_str("code"),
+            Some("bad_request"),
+            "{}",
+            response.render()
+        );
+    };
+    let step = |step: usize| {
+        toy_halo_line(
+            0,
+            PAGERANK_KERNEL,
+            0,
+            &format!(r#""phase": "step", "step": {step}, "acc": "0000000000000000""#),
+        )
+    };
+    let feed = |values: &str| {
+        toy_halo_line(
+            0,
+            PAGERANK_KERNEL,
+            0,
+            &format!(r#""phase": "feed", "values": {values}"#),
+        )
+    };
+
+    // Shard 0 of the toy graph owns 0..3; vertex 3 is one of its ghosts.
+    halo_ok(&mut c, &step(0));
+    let mut owned = Vec::new();
+    pack_rank(&mut owned, 1, 0.25);
+    let mut ghost = Vec::new();
+    pack_rank(&mut ghost, 3, 0.25);
+    let ghost_b64 = pack(&ghost);
+    for bad in [
+        // The retired array-of-strings form.
+        r#"["3:3fd0000000000000"]"#.to_string(),
+        // Bad base64, a window that is not whole records, bad padding.
+        format!("\"{}-\"", &ghost_b64[..15]),
+        format!("\"{}\"", &pack(&ghost[..9])),
+        format!("\"{}=\"", &ghost_b64[..15]),
+        // Whole records naming an owned vertex, not a ghost.
+        format!("\"{}\"", pack(&owned)),
+        format!("\"{}\"", pack(&[ghost.clone(), owned.clone()].concat())),
+    ] {
+        expect_bad(&mut c, &feed(&bad));
+    }
+    // The session survived every rejection: it is still at step 1 of
+    // world 0, a valid feed lands, and the step runs.
+    let fed = halo_ok(&mut c, &feed(&format!("\"{ghost_b64}\"")));
+    assert_eq!(fed.get_usize("fed"), Some(1));
+    let stepped = halo_ok(&mut c, &step(1));
+    assert_eq!(stepped.get_usize("step"), Some(1));
+
+    // BFS settlements route to owners: a ghost id, a rank-width window and
+    // an array are each typed errors; then the source settles.
+    let bfs_step = |values: &str| {
+        toy_halo_line(
+            0,
+            BFS_KERNEL,
+            0,
+            &format!(r#""phase": "step", "step": 0, "values": {values}"#),
+        )
+    };
+    let mut not_owned = Vec::new();
+    pack_level(&mut not_owned, 3, 0);
+    let mut source = Vec::new();
+    pack_level(&mut source, 0, 0);
+    for bad in [
+        format!("\"{}\"", pack(&not_owned)),
+        format!("\"{ghost_b64}\""),
+        r#"["0:0"]"#.to_string(),
+        "\"AAAA*AAAAAA=\"".to_string(),
+    ] {
+        expect_bad(&mut c, &bfs_step(&bad));
+    }
+    let settled = halo_ok(&mut c, &bfs_step(&format!("\"{}\"", pack(&source))));
+    assert_eq!(settled.get_usize("step"), Some(0));
+    assert!(
+        settled.get_usize("total").unwrap() >= 1,
+        "the source settles"
+    );
+    worker.shutdown();
+}
+
+fn halo_ok(c: &mut LineClient, line: &str) -> Value {
+    let response = c.request(line).unwrap();
+    assert_eq!(
+        response.get_str("status"),
+        Some("ok"),
+        "{line} -> {}",
+        response.render()
+    );
+    response
+}
+
+/// Re-reads a `total`-record report of shard 0 one record at a time with
+/// `phase`, checking every window's cursor, and returns the concatenation.
+fn paged_records(
+    c: &mut LineClient,
+    kernel: &str,
+    world: usize,
+    phase: &str,
+    total: usize,
+    width: usize,
+) -> Vec<u8> {
+    let mut records = Vec::new();
+    for from in 0..total {
+        let tail = format!(r#""phase": "{phase}", "from": {from}, "max": 1"#);
+        let window = halo_ok(c, &toy_halo_line(0, kernel, world, &tail));
+        assert_eq!(window.get_usize("from"), Some(from));
+        assert_eq!(window.get_usize("total"), Some(total));
+        let one = unpack(window.get_str("values").unwrap(), width);
+        assert_eq!(one.len(), width, "max 1 returns one record");
+        records.extend(one);
+    }
+    records
+}
+
+#[test]
+fn halo_page_windows_concatenate_to_the_one_shot_report() {
+    use ugs_queries::halo::{LEVEL_RECORD, RANK_RECORD, VALUE_RECORD};
+
+    let worker = start(ServerConfig {
+        shard: Some((0, 2)),
+        ..ServerConfig::default()
+    });
+    let mut c = client(&worker);
+    let mut multi_record_reports = 0;
+    for world in 0..6 {
+        let at = |kernel: &str, tail: &str| toy_halo_line(0, kernel, world, tail);
+        // PageRank: the step's one-shot report vs its one-record windows
+        // and a `page` that names no `max`.
+        let step = halo_ok(
+            &mut c,
+            &at(
+                PAGERANK_KERNEL,
+                r#""phase": "step", "step": 0, "acc": "0000000000000000""#,
+            ),
+        );
+        let total = step.get_usize("total").unwrap();
+        let one_shot = unpack(step.get_str("values").unwrap(), RANK_RECORD);
+        assert_eq!(one_shot.len(), total * RANK_RECORD);
+        if total >= 2 {
+            multi_record_reports += 1;
+        }
+        let paged = paged_records(&mut c, PAGERANK_KERNEL, world, "page", total, RANK_RECORD);
+        assert_eq!(paged, one_shot, "world {world}");
+        let whole = halo_ok(
+            &mut c,
+            &at(PAGERANK_KERNEL, r#""phase": "page", "from": 0"#),
+        );
+        assert_eq!(
+            unpack(whole.get_str("values").unwrap(), RANK_RECORD),
+            one_shot
+        );
+
+        // Collect: shard 0 owns 3 vertices; no `max` returns all of them.
+        let collect = halo_ok(
+            &mut c,
+            &at(PAGERANK_KERNEL, r#""phase": "collect", "from": 0"#),
+        );
+        assert_eq!(collect.get_usize("total"), Some(3));
+        let one_shot = unpack(collect.get_str("values").unwrap(), VALUE_RECORD);
+        assert_eq!(one_shot.len(), 3 * VALUE_RECORD);
+        let paged = paged_records(&mut c, PAGERANK_KERNEL, world, "collect", 3, VALUE_RECORD);
+        assert_eq!(paged, one_shot, "world {world}");
+
+        // BFS: the settlements of the source's superstep.
+        let mut source = Vec::new();
+        ugs_queries::halo::pack_level(&mut source, 0, 0);
+        let tail = format!(
+            r#""phase": "step", "step": 0, "values": "{}""#,
+            pack(&source)
+        );
+        let step = halo_ok(&mut c, &at(BFS_KERNEL, &tail));
+        let total = step.get_usize("total").unwrap();
+        let one_shot = unpack(step.get_str("values").unwrap(), LEVEL_RECORD);
+        assert_eq!(one_shot.len(), total * LEVEL_RECORD);
+        let paged = paged_records(&mut c, BFS_KERNEL, world, "page", total, LEVEL_RECORD);
+        assert_eq!(paged, one_shot, "world {world}");
+    }
+    assert!(
+        multi_record_reports > 0,
+        "some world reports 2+ boundary ranks"
+    );
+    worker.shutdown();
 }
